@@ -6,11 +6,12 @@ other:
 * :func:`bfs_enumerate` walks the Cayley graph breadth first and returns the
   full element set.  Exact but memory bound; it refuses to grow past a cap.
 
-* :class:`StabilizerChain` runs the deterministic Schreier-Sims procedure,
-  producing a base, strong generating set and transversals.  The group
-  order falls out as the product of orbit sizes and membership testing is
-  sifting; factorial-scale orders are fine since Python integers do not
-  overflow.
+* :class:`StabilizerChain` runs a deterministic, incremental Schreier-Sims
+  closure, producing a base, strong generating set and transversals.
+  Orbits and transversals grow in place as strong generators arrive, and
+  each Schreier generator is sifted once.  The group order falls out as
+  the product of orbit sizes and membership testing is sifting;
+  factorial-scale orders are fine since Python integers do not overflow.
 
 Internally permutations are raw image tuples (BFS packs them into bytes for
 compact hashing, which caps that engine at degree 255).  Composition is
@@ -74,7 +75,8 @@ class Closure:
         return len(self.elements)
 
     def __contains__(self, p) -> bool:
-        return bytes(_raw(p)) in self.elements
+        raw = _raw(p)
+        return len(raw) == self.degree and bytes(raw) in self.elements
 
     def __iter__(self) -> Iterator[Permutation]:
         for packed in sorted(self.elements):
@@ -118,17 +120,20 @@ def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
 
 
 class StabilizerChain:
-    """Base and strong generating set via deterministic Schreier-Sims.
+    """Base and strong generating set via incremental Schreier-Sims.
 
     Base points are chosen greedily as the smallest point moved by the
     permutation that forced a new level, so reruns on the same generator
     list produce the identical chain.  Level i stores the generators of the
     stabilizer of the first i base points, the orbit of base point i under
-    them, and a transversal of coset representatives (with cached inverses;
-    ``transversal[i][x]`` maps base[i] to x).
+    them as an append-only list, and a transversal of coset representatives
+    (with cached inverses; ``transversal[i][x]`` maps base[i] to x).
 
-    The build closes every level under Schreier generators, so on return
-    ``order`` is exact and ``contains`` is a complete membership test.
+    The build closes the levels deepest first.  A generator added to a
+    level extends that level's orbit and transversal in place, and each
+    (level, generator) pair keeps a cursor into the orbit, so every
+    Schreier generator is sifted exactly once.  On return ``order`` is
+    exact and ``contains`` is a complete membership test.
     """
 
     def __init__(self, generators: Iterable, degree: int | None = None):
@@ -139,14 +144,23 @@ class StabilizerChain:
         self._gens: list[list[tuple[int, ...]]] = []
         self._tr: list[dict[int, tuple[int, ...]]] = []
         self._trinv: list[dict[int, tuple[int, ...]]] = []
+        self._orbits: list[list[int]] = []
+        # _tested[i][k]: how many orbit points of level i have had their
+        # Schreier generator with _gens[i][k] sifted
+        self._tested: list[list[int]] = []
 
         for g in raws:
             if all(g[b] == b for b in self._points):
                 self._add_level(g)
-        for i, _ in enumerate(self._points):
-            self._gens[i] = [g for g in raws if all(g[b] == b for b in self._points[:i])]
-        for i in reversed(range(len(self._points))):
-            self._complete_level(i)
+        for g in raws:
+            # every generator moves some base point; it belongs to the
+            # levels up to and including the first one it moves
+            last = next(i for i, b in enumerate(self._points) if g[b] != b)
+            self._add_generator(g, 0, last)
+
+        i = len(self._points) - 1
+        while i >= 0:
+            i = self._close_level(i)
 
         self.base: tuple[int, ...] = tuple(self._points)
         order = 1
@@ -179,7 +193,10 @@ class StabilizerChain:
 
     def sift(self, p) -> Permutation:
         """Residue after stripping coset representatives; identity means member."""
-        residue, _ = self._sift(_raw(p), 0)
+        raw = _raw(p)
+        if len(raw) != self.degree:
+            raise ValueError(f"degree {len(raw)} does not match chain degree {self.degree}")
+        residue, _ = self._sift(raw, 0)
         return _wrap(residue)
 
     # --- construction ---
@@ -190,27 +207,28 @@ class StabilizerChain:
         self._gens.append([])
         self._tr.append({point: self._identity})
         self._trinv.append({point: self._identity})
+        self._orbits.append([point])
+        self._tested.append([])
 
-    def _rebuild_transversal(self, i: int) -> None:
-        point = self._points[i]
-        gens = self._gens[i]
-        tr = {point: self._identity}
-        trinv = {point: self._identity}
-        frontier = [point]
-        while frontier:
-            next_frontier = []
-            for x in frontier:
-                u = tr[x]
-                for g in gens:
-                    y = g[x]
+    def _add_generator(self, g: tuple[int, ...], first: int, last: int) -> None:
+        # append g to levels first..last and grow their orbits in place:
+        # old points are moved by g alone, new points by every generator
+        for i in range(first, last + 1):
+            gens, orbit, tr, trinv = self._gens[i], self._orbits[i], self._tr[i], self._trinv[i]
+            gens.append(g)
+            self._tested[i].append(0)
+            old = len(orbit)
+            k = 0
+            while k < len(orbit):
+                x = orbit[k]
+                for h in gens if k >= old else (g,):
+                    y = h[x]
                     if y not in tr:
-                        v = _mul(u, g)
+                        v = _mul(tr[x], h)
                         tr[y] = v
                         trinv[y] = _inv(v)
-                        next_frontier.append(y)
-            frontier = next_frontier
-        self._tr[i] = tr
-        self._trinv[i] = trinv
+                        orbit.append(y)
+                k += 1
 
     def _sift(self, p: tuple[int, ...], start: int):
         for i in range(start, len(self._points)):
@@ -221,30 +239,33 @@ class StabilizerChain:
             p = _mul(p, uinv)
         return p, len(self._points)
 
-    def _complete_level(self, i: int) -> None:
-        # close level i under Schreier generators, assuming deeper levels
-        # are already closed; newly found residues are pushed down and the
-        # touched levels are re-closed deepest first
-        self._rebuild_transversal(i)
-        tr = self._tr[i]
-        trinv = self._trinv[i]
-        orbit = list(tr)
-        gens = self._gens[i]  # stable: additions go to deeper levels only
-        for x in orbit:
-            u = tr[x]
-            for g in gens:
-                schreier = _mul(_mul(u, g), trinv[g[x]])
-                if schreier == self._identity:
+    def _close_level(self, i: int) -> int:
+        # sift level i's untested Schreier generators, point by point, while
+        # every deeper level has sifted all of its own; a nontrivial residue
+        # joins levels i+1..j and the build resumes at j, else it moves up
+        orbit, tr, trinv, gens, tested = (
+            self._orbits[i], self._tr[i], self._trinv[i], self._gens[i], self._tested[i]
+        )
+        while True:
+            pos = min(tested)
+            if pos == len(orbit):
+                return i - 1
+            x = orbit[pos]
+            for k, g in enumerate(gens):
+                if tested[k] != pos:
                     continue
-                residue, j = self._sift(schreier, i + 1)
+                tested[k] += 1
+                y = g[x]
+                ug = _mul(tr[x], g)
+                if ug == tr[y]:
+                    continue
+                residue, j = self._sift(_mul(ug, trinv[y]), i + 1)
                 if residue == self._identity:
                     continue
                 if j == len(self._points):
                     self._add_level(residue)
-                for level in range(i + 1, j + 1):
-                    self._gens[level].append(residue)
-                for level in range(j, i, -1):
-                    self._complete_level(level)
+                self._add_generator(residue, i + 1, j)
+                return j
 
 
 def schreier_sims(generators: Iterable, degree: int | None = None) -> StabilizerChain:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from unshuffle.bsgs import (
     group_order,
     schreier_sims,
 )
+from unshuffle.groups import family_generators, predict_group
 from unshuffle.perm import Permutation
 from unshuffle.shuffles import shuffle_permutation
 
@@ -82,6 +84,13 @@ class TestBfs:
         with pytest.raises(ValueError):
             bfs_enumerate([Permutation([1, 0]), Permutation([0, 1, 2])])
 
+    def test_membership_degree_mismatch(self):
+        closure = bfs_enumerate(S3_GENS)
+        assert Permutation([1, 0]) not in closure
+        assert Permutation([1, 0, 2, 3]) not in closure
+        # images past 255 cannot be packed into bytes; still just not a member
+        assert Permutation(list(range(1, 300)) + [0]) not in closure
+
 
 class TestStabilizerChain:
     @pytest.mark.parametrize("n", range(2, 8))
@@ -119,6 +128,13 @@ class TestStabilizerChain:
         residue = chain.sift(Permutation([1, 0, 2, 3]))
         assert not residue.is_identity()
 
+    def test_sift_degree_mismatch(self):
+        chain = StabilizerChain(S3_GENS)
+        for p in (Permutation([1, 0]), Permutation([1, 0, 2, 3])):
+            with pytest.raises(ValueError):
+                chain.sift(p)
+            assert not chain.contains(p)
+
     def test_in_operator(self):
         chain = StabilizerChain(S3_GENS)
         assert Permutation([2, 1, 0]) in chain
@@ -150,21 +166,49 @@ class TestStabilizerChain:
                 assert u(b) == x
 
 
+@functools.cache
+def shuffle_chain(family, size):
+    return StabilizerChain(family_generators(family, size))
+
+
+@pytest.mark.parametrize("size", [20, 30, 52])
+@pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+class TestShuffleChainInvariants:
+    def test_transversals_map_base_point_and_fix_earlier_base(self, family, size):
+        chain = shuffle_chain(family, size)
+        for i, (b, tr) in enumerate(zip(chain.base, chain.transversals)):
+            for x, u in tr.items():
+                assert u(b) == x
+                assert all(u(c) == c for c in chain.base[:i])
+
+    def test_order_matches_prediction(self, family, size):
+        assert shuffle_chain(family, size).order == predict_group(family, size).order
+
+    def test_strong_generators_rebuild_same_order(self, family, size):
+        chain = shuffle_chain(family, size)
+        assert StabilizerChain(chain.strong_generators).order == chain.order
+
+
 class TestEnginesAgree:
-    @given(generator_sets())
+    @given(generator_sets(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_bfs_equals_chain(self, gens):
+    def test_bfs_equals_chain(self, gens, data):
         closure = bfs_enumerate(gens)
         chain = StabilizerChain(gens)
         assert closure.order == chain.order
         assert all(p in chain for p in closure)
+        # random permutations of the same degree, mostly non-members
+        others = st.lists(st.permutations(list(range(gens[0].degree))), min_size=1, max_size=8)
+        for img in data.draw(others):
+            p = Permutation(img)
+            assert (p in chain) == (p in closure)
 
     @given(generator_sets())
     @settings(max_examples=40, deadline=None)
     def test_order_matches_sympy(self, gens):
         assert StabilizerChain(gens).order == sympy_order(gens)
 
-    @pytest.mark.parametrize("size", [6, 8, 10, 12])
+    @pytest.mark.parametrize("size", [6, 8, 10, 12, 14, 16])
     @pytest.mark.parametrize("letters", ["LR", "IO"])
     def test_shuffle_groups_match_sympy(self, size, letters):
         gens = [shuffle_permutation(s, size) for s in letters]
