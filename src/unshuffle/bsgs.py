@@ -5,6 +5,9 @@ other:
 
 * :func:`bfs_enumerate` walks the Cayley graph breadth first and returns the
   full element set.  Exact but memory bound; it refuses to grow past a cap.
+  Elements are packed into bytes and each generator is padded once to a
+  256-byte table, so composing an element with a generator is one
+  ``bytes.translate`` call, done in C.
 
 * :class:`StabilizerChain` runs a deterministic, incremental Schreier-Sims
   closure, producing a base, strong generating set and transversals.
@@ -14,8 +17,9 @@ other:
   factorial-scale orders are fine since Python integers do not overflow.
 
 Internally permutations are raw image tuples (BFS packs them into bytes for
-compact hashing, which caps that engine at degree 255).  Composition is
-"left then right" throughout, matching :mod:`unshuffle.perm`.
+compact hashing and translation, which caps that engine at degree
+``BFS_MAX_DEGREE`` = 255).  Composition is "left then right" throughout,
+matching :mod:`unshuffle.perm`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from .perm import Permutation, _wrap
 
 DEFAULT_CAP = 10_000_000
+BFS_MAX_DEGREE = 255
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -92,31 +97,40 @@ class Closure:
 def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
     """Enumerate every element of the group the generators produce.
 
-    Raises :class:`EnumerationCapExceeded` as soon as the element count
-    passes ``cap``.
+    Raises :class:`EnumerationCapExceeded` as soon as the element count,
+    identity included, passes ``cap``.
     """
     raws, degree, identity = _normalize(generators)
-    if degree > 255:
-        raise ValueError("bfs_enumerate packs images into bytes; degree must be <= 255")
-    gens = [bytes(g) for g in raws]
+    if degree > BFS_MAX_DEGREE:
+        raise ValueError(
+            f"bfs_enumerate packs images into bytes; degree must be <= {BFS_MAX_DEGREE}"
+        )
+    if cap < 1:
+        raise _cap_exceeded(cap)
+    # p.translate(table) maps each image x of p to g[x]: the product "p then g"
+    tables = [bytes(g) + bytes(256 - degree) for g in raws]
     start = bytes(identity)
     seen = {start}
     frontier = [start]
     while frontier:
         next_frontier = []
         for p in frontier:
-            for g in gens:
-                q = bytes(map(g.__getitem__, p))
+            for table in tables:
+                q = p.translate(table)
                 if q not in seen:
                     if len(seen) >= cap:
-                        raise EnumerationCapExceeded(
-                            f"group has more than {cap} elements; "
-                            "enumeration is infeasible, use the schreier engine"
-                        )
+                        raise _cap_exceeded(cap)
                     seen.add(q)
                     next_frontier.append(q)
         frontier = next_frontier
     return Closure(degree, frozenset(seen))
+
+
+def _cap_exceeded(cap: int) -> EnumerationCapExceeded:
+    return EnumerationCapExceeded(
+        f"group has more than {cap} elements; "
+        "enumeration is infeasible, use the schreier engine"
+    )
 
 
 class StabilizerChain:

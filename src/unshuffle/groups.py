@@ -22,7 +22,13 @@ from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
-from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enumerate
+from .bsgs import (
+    BFS_MAX_DEGREE,
+    DEFAULT_CAP,
+    EnumerationCapExceeded,
+    StabilizerChain,
+    bfs_enumerate,
+)
 from .perm import Permutation
 from .shuffles import (
     Step,
@@ -296,29 +302,31 @@ def verify_deck_size(
     """Recompute one group order and compare against the prediction.
 
     ``auto`` enumerates by BFS when the predicted order fits under the cap
+    and the deck fits BFS's byte packing (at most ``BFS_MAX_DEGREE`` cards),
     and uses a stabilizer chain otherwise.  A forced ``bfs`` run that blows
-    the cap yields a record with no computed order and ``match`` false
-    rather than an exception, so a sweep over many deck sizes degrades per
-    record.
+    the cap or the byte limit yields a record with no computed order and
+    ``match`` false rather than an exception, so a sweep over many deck
+    sizes degrades per record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
 
+    bfs_fits = deck_size <= BFS_MAX_DEGREE
     if engine == "auto":
-        chosen = "bfs" if prediction.order <= cap else "schreier"
+        chosen = "bfs" if bfs_fits and prediction.order <= cap else "schreier"
     elif engine in ("bfs", "schreier"):
         chosen = engine
     else:
         raise ValueError(f"unknown engine {engine!r}")
 
-    computed: int | None
-    if chosen == "bfs":
+    computed: int | None = None
+    if chosen == "schreier":
+        computed = StabilizerChain(gens).order
+    elif bfs_fits:
         try:
             computed = bfs_enumerate(gens, cap).order
         except EnumerationCapExceeded:
-            computed = None
-    else:
-        computed = StabilizerChain(gens).order
+            pass
 
     n = deck_size // 2
     kernel_computed = kernel_predicted = None

@@ -74,6 +74,28 @@ class TestBfs:
         assert bfs_enumerate(S3_GENS, cap=6).order == 6
         with pytest.raises(EnumerationCapExceeded):
             bfs_enumerate(S3_GENS, cap=5)
+        # the identity is an element too
+        assert bfs_enumerate([Permutation.identity(2)], cap=1).order == 1
+        with pytest.raises(EnumerationCapExceeded):
+            bfs_enumerate([Permutation.identity(2)], cap=0)
+
+    def test_byte_boundary(self):
+        # 255 is the last degree whose images fit the 256-byte translate table
+        cycle = Permutation(list(range(1, 255)) + [0])
+        closure = bfs_enumerate([cycle])
+        assert closure.degree == 255
+        assert closure.order == 255
+        assert set(closure) == {cycle**k for k in range(255)}
+        chain = StabilizerChain([cycle])
+        outsiders = [
+            Permutation([1, 0] + list(range(2, 255))),
+            Permutation(list(reversed(range(255)))),
+            Permutation(list(range(2, 255)) + [1, 0]),
+        ]
+        for p in outsiders:
+            assert not chain.contains(p)
+            assert p not in closure
+        assert cycle**7 in closure and chain.contains(cycle**7)
 
     def test_degree_limit(self):
         big = Permutation(list(range(1, 256)) + [0])

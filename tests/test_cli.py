@@ -293,6 +293,19 @@ class TestVerify:
         assert "computed=?" in out
         assert "match=NO" in out
 
+    def test_forced_bfs_past_byte_limit_is_infeasible(self, run_cli, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            "verify", "--min", 254, "--max", 256, "--engine", "bfs", "--cap", 1000,
+            "--out", path,
+        )
+        assert code == 3
+        assert out.splitlines()[-1] == "4 records, 0 match"
+        parsed = json.loads(path.read_text())
+        assert [entry["two_n"] for entry in parsed] == [254, 254, 256, 256]
+        assert all(entry["computed_order"] is None for entry in parsed)
+        assert not any(entry["match"] for entry in parsed)
+
     def test_inverted_range_rejected(self, run_cli):
         assert run_cli("verify", "--min", 10, "--max", 8)[0] == 2
 

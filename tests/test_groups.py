@@ -303,6 +303,19 @@ class TestVerification:
         assert record.computed_order is None
         assert record.match is False
 
+    def test_forced_bfs_past_byte_limit_degrades(self):
+        record = verify_deck_size(256, "perfect", engine="bfs")
+        assert record.engine_used == "bfs"
+        assert record.computed_order is None
+        assert record.match is False
+
+    def test_auto_past_byte_limit_uses_chain(self):
+        # the predicted order 8 * 2^8 is under the cap, but 256 cards do not
+        # fit BFS's byte packing
+        record = verify_deck_size(256, "perfect")
+        assert record.engine_used == "schreier"
+        assert record.computed_order == record.predicted_order == 2048
+
     def test_bad_engine(self):
         with pytest.raises(ValueError):
             verify_deck_size(6, "unshuffle", engine="magic")
