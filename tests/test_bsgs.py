@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from unshuffle.bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
+    _order_bound,
     bfs_enumerate,
     group_order,
     schreier_sims,
 )
-from unshuffle.groups import family_generators, predict_group
-from unshuffle.perm import Permutation
-from unshuffle.shuffles import shuffle_permutation
+from unshuffle.groups import FAMILIES, family_generators, power_of_two_exponent, predict_group
+from unshuffle.perm import Permutation, random_centrally_symmetric
+from unshuffle.shuffles import shuffle_permutation, word_permutation
 
 S3_GENS = [Permutation([1, 0, 2]), Permutation([0, 2, 1])]
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1])]
@@ -31,11 +33,17 @@ def symmetric_gens(n):
 
 @st.composite
 def generator_sets(draw):
+    """1-3 generators of degree 2..7.  At even degree each one is either
+    centrally symmetric or arbitrary, so the chain meets both kinds of
+    order bound and, when the bound is out of reach, its fallback."""
     degree = draw(st.integers(min_value=2, max_value=7))
-    count = draw(st.integers(min_value=1, max_value=3))
-    return [
-        Permutation(draw(st.permutations(list(range(degree))))) for _ in range(count)
-    ]
+    gens = []
+    for symmetric in draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        if symmetric and degree % 2 == 0:
+            gens.append(random_centrally_symmetric(draw(st.randoms()), degree // 2))
+        else:
+            gens.append(Permutation(draw(st.permutations(list(range(degree))))))
+    return gens
 
 
 def sympy_order(gens):
@@ -162,12 +170,21 @@ class TestStabilizerChain:
         assert Permutation([2, 1, 0]) in chain
 
     def test_deterministic_rebuild(self):
-        gens = [shuffle_permutation("L", 20), shuffle_permutation("R", 20)]
-        a = StabilizerChain(gens)
-        b = StabilizerChain(gens)
-        assert a.base == b.base
-        assert a.order == b.order
-        assert [sorted(tr) for tr in a.transversals] == [sorted(tr) for tr in b.transversals]
+        # 24 falls back to the closure; 20 and 52 stop at the order bound
+        for size in (20, 24, 52):
+            gens = [shuffle_permutation("L", size), shuffle_permutation("R", size)]
+            a = StabilizerChain(gens)
+            b = StabilizerChain(gens)
+            assert a.base == b.base
+            assert a.order == b.order
+            assert [sorted(tr) for tr in a.transversals] == [sorted(tr) for tr in b.transversals]
+            assert a.strong_generators == b.strong_generators
+
+    def test_global_random_state_untouched(self):
+        state = random.getstate()
+        StabilizerChain(family_generators("unshuffle", 52))
+        StabilizerChain(family_generators("unshuffle", 24))
+        assert random.getstate() == state
 
     def test_base_points_are_moved(self):
         chain = StabilizerChain(symmetric_gens(5))
@@ -209,6 +226,92 @@ class TestShuffleChainInvariants:
     def test_strong_generators_rebuild_same_order(self, family, size):
         chain = shuffle_chain(family, size)
         assert StabilizerChain(chain.strong_generators).order == chain.order
+
+
+# even sizes in [4, 80] whose shuffle groups are smaller than their order
+# bound; 2n = 4 is a power of two, but <L, R> is all of B_2 there
+SPECIAL_SIZES = [
+    d for d in range(8, 81, 2) if d in (12, 24) or power_of_two_exponent(d) is not None
+]
+
+
+class TestOrderBound:
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_equals_prediction_off_special_sizes(self, family):
+        for size in range(4, 81, 2):
+            if size not in SPECIAL_SIZES:
+                bound = _order_bound(family_generators(family, size))
+                assert bound == predict_group(family, size).order, size
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    @pytest.mark.parametrize("size", SPECIAL_SIZES)
+    def test_exceeds_prediction_at_special_sizes(self, family, size):
+        assert _order_bound(family_generators(family, size)) > predict_group(family, size).order
+
+    def test_arbitrary_generators(self):
+        assert _order_bound(symmetric_gens(6)) == math.factorial(6)
+        assert _order_bound(A4_GENS) == 12
+        # odd degree, and the reversal of 2 points (degree below 4)
+        assert _order_bound([Permutation([1, 2, 0])]) == 3
+        assert _order_bound([Permutation([1, 0])]) == 2
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_pair_images(self, family):
+        # at 2n = 52 a pair sign is -1, so S_26; at 56 both are +1, so A_28
+        for size, bound in ((52, math.factorial(26)), (56, math.factorial(28) // 2)):
+            images = [g.pair_permutation() for g in family_generators(family, size)]
+            assert _order_bound(images) == bound
+            assert StabilizerChain(images).order == bound
+
+
+class TestFallback:
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    @pytest.mark.parametrize("size", [12, 24, 32, 64])
+    def test_special_sizes(self, family, size):
+        gens = family_generators(family, size)
+        chain = StabilizerChain(gens)
+        order = predict_group(family, size).order
+        assert chain.order == order < _order_bound(gens)
+        rng = random.Random(size)
+        letters = FAMILIES[family]
+        members = [word_permutation("".join(rng.choices(letters, k=12)), size) for _ in range(8)]
+        arbitrary = [Permutation(rng.sample(range(size), size)) for _ in range(8)]
+        symmetric = [random_centrally_symmetric(rng, size // 2) for _ in range(8)]
+        if size == 24:  # 195 million elements: words are members, random ones are not
+            assert all(chain.contains(p) for p in members)
+            assert not any(chain.contains(p) for p in arbitrary + symmetric)
+            return
+        closure = bfs_enumerate(gens)
+        assert closure.order == order
+        for p in members + arbitrary + symmetric:
+            assert chain.contains(p) == (p in closure)
+
+    def test_random_phase_gives_up_below_the_bound(self):
+        raws = [g.image for g in family_generators("unshuffle", 24)]
+        chain = StabilizerChain(raws)
+        chain._start(raws)
+        assert not chain._random_fill(raws, _order_bound(raws))
+
+    def test_single_unshuffle(self):
+        left = shuffle_permutation("L", 52)
+        chain = StabilizerChain([left])
+        closure = bfs_enumerate([left])
+        assert chain.order == closure.order == 52
+        rng = random.Random(52)
+        candidates = [left**k for k in range(0, 60, 7)] + [shuffle_permutation("R", 52)]
+        candidates += [random_centrally_symmetric(rng, 26) for _ in range(8)]
+        for p in candidates:
+            assert chain.contains(p) == (p in closure)
+
+
+@pytest.mark.parametrize("size", [100, 130, 200])
+@pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+def test_large_deck_orders(family, size):
+    gens = family_generators(family, size)
+    chain = StabilizerChain(gens)
+    assert chain.order == predict_group(family, size).order
+    assert all(chain.contains(g) for g in gens)
+    assert not chain.contains(Permutation([1, 0] + list(range(2, size))))
 
 
 class TestEnginesAgree:

@@ -158,6 +158,10 @@ class TestKernel:
         gens = family_generators("unshuffle", 2 * n)
         assert pair_kernel_order(gens) == predicted_kernel_order(n)
 
+    def test_hundred_cards(self):
+        gens = family_generators("unshuffle", 100)
+        assert pair_kernel_order(gens) == predicted_kernel_order(50) == 2**50
+
     def test_known_group_order_shortcut(self):
         gens = family_generators("unshuffle", 6)
         assert pair_kernel_order(gens, group_order=48) == 8
