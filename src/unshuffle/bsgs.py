@@ -23,10 +23,16 @@ other:
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
 
-Internally permutations are raw image tuples (BFS packs them into bytes for
-compact hashing and translation, which caps that engine at degree
-``BFS_MAX_DEGREE`` = 255).  Composition is "left then right" throughout,
-matching :mod:`unshuffle.perm`.
+Every ``engine="auto"`` in the package (:func:`group_order`,
+:func:`unshuffle.groups.verify_deck_size`, the command line) means the
+chain: its order is certified, so BFS runs only when asked for by name, as
+the independent check.
+
+Internally permutations are raw image tuples, composed ("left then right")
+and inverted by the kernels of :mod:`unshuffle.perm`, which the chain's
+sift and orbit growth call directly.  BFS packs them into bytes for compact
+hashing and translation, which caps that engine at degree
+``BFS_MAX_DEGREE`` = 255.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 
-from .perm import Permutation, _wrap
+from .perm import Permutation, _compose, _invert, _wrap
 
 DEFAULT_CAP = 10_000_000
 BFS_MAX_DEGREE = 255
@@ -59,18 +65,6 @@ def _raw(p) -> tuple[int, ...]:
     if isinstance(p, Permutation):
         return p.image
     return Permutation(p).image
-
-
-def _mul(p, q):
-    # apply p then q, raw tuples
-    return tuple(map(q.__getitem__, p))
-
-
-def _inv(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def _normalize(generators, degree=None):
@@ -191,9 +185,9 @@ def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, 
         s = rng.randrange(len(slots))
         t = rng.randrange(len(slots) - 1)
         t += t >= s
-        h = slots[t] if rng.random() < 0.5 else _inv(slots[t])
-        slots[s] = _mul(slots[s], h) if rng.random() < 0.5 else _mul(h, slots[s])
-        accumulator = _mul(accumulator, slots[s])
+        h = slots[t] if rng.random() < 0.5 else _invert(slots[t])
+        slots[s] = _compose(slots[s], h) if rng.random() < 0.5 else _compose(h, slots[s])
+        accumulator = _compose(accumulator, slots[s])
         if step >= _PR_WARMUP:
             yield accumulator
 
@@ -341,9 +335,9 @@ class StabilizerChain:
                 for h in gens if k >= old else (g,):
                     y = h[x]
                     if y not in tr:
-                        v = _mul(tr[x], h)
+                        v = _compose(tr[x], h)
                         tr[y] = v
-                        trinv[y] = _inv(v)
+                        trinv[y] = _invert(v)
                         orbit.append(y)
                 k += 1
 
@@ -353,7 +347,7 @@ class StabilizerChain:
             uinv = self._trinv[i].get(x)
             if uinv is None:
                 return p, i
-            p = _mul(p, uinv)
+            p = _compose(p, uinv)
         return p, len(self._points)
 
     def _close_level(self, i: int) -> int:
@@ -373,10 +367,10 @@ class StabilizerChain:
                     continue
                 tested[k] += 1
                 y = g[x]
-                ug = _mul(tr[x], g)
+                ug = _compose(tr[x], g)
                 if ug == tr[y]:
                     continue
-                residue, j = self._sift(_mul(ug, trinv[y]), i + 1)
+                residue, j = self._sift(_compose(ug, trinv[y]), i + 1)
                 if residue == self._identity:
                     continue
                 if j == len(self._points):
@@ -385,9 +379,14 @@ class StabilizerChain:
                 return j
 
 
-def schreier_sims(generators: Iterable, degree: int | None = None) -> StabilizerChain:
-    """Convenience constructor for :class:`StabilizerChain`."""
-    return StabilizerChain(generators, degree)
+def _resolve_engine(engine: str) -> str:
+    # the package's one engine policy: "auto" builds the stabilizer chain,
+    # whose order is certified; BFS runs only when asked for by name
+    if engine == "auto":
+        return "schreier"
+    if engine in ("bfs", "schreier"):
+        return engine
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
@@ -398,8 +397,6 @@ def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "aut
     number from the independent engine (it raises
     :class:`EnumerationCapExceeded` past the cap).
     """
-    if engine == "bfs":
+    if _resolve_engine(engine) == "bfs":
         return bfs_enumerate(generators, cap).order
-    if engine in ("auto", "schreier"):
-        return StabilizerChain(generators).order
-    raise ValueError(f"unknown engine {engine!r}")
+    return StabilizerChain(generators).order

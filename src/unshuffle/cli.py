@@ -10,7 +10,13 @@ import argparse
 import json
 import sys
 
-from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enumerate
+from .bsgs import (
+    DEFAULT_CAP,
+    EnumerationCapExceeded,
+    StabilizerChain,
+    _resolve_engine,
+    bfs_enumerate,
+)
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
@@ -28,24 +34,21 @@ from .shuffles import (
     format_word,
     shuffle_order,
     shuffle_permutation,
+    walk_word,
     word_permutation,
 )
 
 OK, MISMATCH, USAGE, INFEASIBLE = 0, 1, 2, 3
 
 
-def _arrangement_text(p: Permutation) -> str:
-    return ",".join(map(str, p.arrangement()))
-
-
-def _walk_word(word, deck_size):
+def _steps(word, deck_size):
     """(label, arrangement) pairs: the sorted deck, then one entry per step."""
-    current = Permutation.identity(deck_size)
-    states = [("start", current.arrangement())]
-    for step in as_word(word):
-        current = current * shuffle_permutation(step, deck_size)
-        states.append((str(step), current.arrangement()))
-    return states, current
+    labels = ["start", *map(str, word)]
+    return [(label, p.arrangement()) for label, p in zip(labels, walk_word(word, deck_size))]
+
+
+def _steps_json(states) -> list[dict]:
+    return [{"step": label, "arrangement": list(arr)} for label, arr in states]
 
 
 def _print_steps(states) -> None:
@@ -87,22 +90,20 @@ def _emit_json(payload) -> None:
 
 def _cmd_shuffle(args) -> int:
     word = as_word(args.word)
-    states, final = _walk_word(word, args.deck)
+    if args.show_steps:
+        states = _steps(word, args.deck)
+        final = states[-1][1]
+    else:
+        final = word_permutation(word, args.deck).arrangement()
     if args.format == "json":
-        payload = {
-            "deck": args.deck,
-            "word": format_word(word),
-            "arrangement": list(final.arrangement()),
-        }
+        payload = {"deck": args.deck, "word": format_word(word), "arrangement": list(final)}
         if args.show_steps:
-            payload["steps"] = [
-                {"step": label, "arrangement": list(arr)} for label, arr in states
-            ]
+            payload["steps"] = _steps_json(states)
         _emit_json(payload)
     elif args.show_steps:
         _print_steps(states)
     else:
-        print(_arrangement_text(final))
+        print(",".join(map(str, final)))
     return OK
 
 
@@ -130,7 +131,7 @@ def _cmd_swap(args) -> int:
     if k is None or k < 1:
         raise ValueError(f"swap words need a power-of-two deck size, got {args.deck}")
     word = unshuffle_swap_word(args.a, args.b, k)
-    states, final = _walk_word(word, args.deck)
+    states = _steps(word, args.deck)
     if args.format == "json":
         _emit_json(
             {
@@ -138,7 +139,7 @@ def _cmd_swap(args) -> int:
                 "a": args.a,
                 "b": args.b,
                 "word": format_word(word),
-                "steps": [{"step": label, "arrangement": list(arr)} for label, arr in states],
+                "steps": _steps_json(states),
             }
         )
     else:
@@ -149,28 +150,26 @@ def _cmd_swap(args) -> int:
 
 def _cmd_elmsley(args) -> int:
     word = perfect_elmsley_word(args.target, args.deck)
+    states = _steps(word, args.deck) if args.show_steps else None
     if args.format == "json":
         payload = {"deck": args.deck, "target": args.target, "word": format_word(word)}
         if args.show_steps:
-            states, _ = _walk_word(word, args.deck)
-            payload["steps"] = [
-                {"step": label, "arrangement": list(arr)} for label, arr in states
-            ]
+            payload["steps"] = _steps_json(states)
         _emit_json(payload)
     else:
         print(format_word(word))
         if args.show_steps:
-            states, _ = _walk_word(word, args.deck)
             _print_steps(states)
     return OK
 
 
 def _cmd_group_order(args) -> int:
     gens = _parse_generators(args.gens, args.deck)
-    if args.engine == "bfs":
-        engine_used, order = "bfs", bfs_enumerate(gens, args.cap).order
+    engine_used = _resolve_engine(args.engine)
+    if engine_used == "bfs":
+        order = bfs_enumerate(gens, args.cap).order
     else:
-        engine_used, order = "schreier", StabilizerChain(gens).order
+        order = StabilizerChain(gens).order
     if args.format == "json":
         _emit_json(
             {
@@ -240,7 +239,11 @@ def _cmd_verify(args) -> int:
         check_deck_size(s)
     records = verify_deck_sizes(sizes, engine=args.engine, cap=args.cap)
     if args.out:
-        write_report(records, args.out)
+        try:
+            write_report(records, args.out)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return USAGE
     if args.format == "json":
         _emit_json([r.to_fields() for r in records])
     else:
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=int, default=2)
     p.add_argument("--max", type=int, default=52)
     p.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="BFS element cap")
     p.add_argument("--out", help="write a JSON report to this path")
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)

@@ -3,8 +3,10 @@
 The two generator families are the unshuffles ``<L, R>`` and the perfect
 shuffles ``<I, O>``.  For every even deck size the exact order of each
 group is known in closed form; :func:`predict_group` routes a deck size to
-the matching case and :func:`verify_deck_sizes` recomputes the order with
-an enumeration engine and reports whether theory and computation agree.
+the matching case and :func:`verify_deck_sizes` recomputes the order and
+reports whether theory and computation agree.  The recomputation builds a
+certified stabilizer chain unless BFS enumeration, the independent engine,
+is asked for by name; the prediction never picks the engine.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -27,6 +29,7 @@ from .bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
+    _resolve_engine,
     bfs_enumerate,
 )
 from .perm import Permutation
@@ -301,28 +304,22 @@ def verify_deck_size(
 ) -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
-    ``auto`` enumerates by BFS when the predicted order fits under the cap
-    and the deck fits BFS's byte packing (at most ``BFS_MAX_DEGREE`` cards),
-    and uses a stabilizer chain otherwise.  A forced ``bfs`` run that blows
-    the cap or the byte limit yields a record with no computed order and
-    ``match`` false rather than an exception, so a sweep over many deck
-    sizes degrades per record.
+    ``auto`` and ``schreier`` build a stabilizer chain, whose order is
+    exact by construction; ``bfs`` enumerates every element instead, the
+    engine independent of the chain.  The prediction only supplies the
+    expected value, never the engine.  A forced ``bfs`` run that blows the
+    cap or the byte limit (more than ``BFS_MAX_DEGREE`` cards) yields a
+    record with no computed order and ``match`` false rather than an
+    exception, so a sweep over many deck sizes degrades per record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-
-    bfs_fits = deck_size <= BFS_MAX_DEGREE
-    if engine == "auto":
-        chosen = "bfs" if bfs_fits and prediction.order <= cap else "schreier"
-    elif engine in ("bfs", "schreier"):
-        chosen = engine
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    chosen = _resolve_engine(engine)
 
     computed: int | None = None
     if chosen == "schreier":
         computed = StabilizerChain(gens).order
-    elif bfs_fits:
+    elif deck_size <= BFS_MAX_DEGREE:
         try:
             computed = bfs_enumerate(gens, cap).order
         except EnumerationCapExceeded:

@@ -20,10 +20,11 @@ the inverse of L.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .perm import Permutation, _wrap
+from .perm import Permutation, _compose, _invert, _wrap
 
 LETTERS = "LRIOV"
 MAX_DECK = 1 << 20
@@ -144,25 +145,29 @@ def deal_permutation(top_pile: str, deck_size: int) -> Permutation:
         stacked = left[::-1] + right[::-1]
     else:
         stacked = right[::-1] + left[::-1]
-    image = [0] * deck_size
-    for position, card in enumerate(stacked):
-        image[card] = position
-    return Permutation(image)
+    # stacked[position] is the card that lands there; the image map is the
+    # inverse of that listing
+    return Permutation(_invert(stacked))
+
+
+def walk_word(word, deck_size: int) -> Iterator[Permutation]:
+    """Evaluate a shuffle word step by step: yield the identity, then the
+    permutation performed so far after each step.  The deck size is
+    checked before the first state is yielded."""
+    check_deck_size(deck_size)
+    current = tuple(range(deck_size))
+    yield _wrap(current)
+    for step in as_word(word):
+        g = _images(step.letter, deck_size)
+        current = _compose(current, _invert(g) if step.inverted else g)
+        yield _wrap(current)
 
 
 def word_permutation(word, deck_size: int) -> Permutation:
     """Evaluate a shuffle word (string or Step sequence) on a deck."""
-    check_deck_size(deck_size)
-    current = tuple(range(deck_size))
-    for step in as_word(word):
-        g = _images(step.letter, deck_size)
-        if step.inverted:
-            inv = [0] * deck_size
-            for i, x in enumerate(g):
-                inv[x] = i
-            g = inv
-        current = tuple(map(g.__getitem__, current))
-    return _wrap(current)
+    for current in walk_word(word, deck_size):
+        pass
+    return current
 
 
 def multiplicative_order(value: int, modulus: int) -> int:

@@ -15,7 +15,6 @@ from unshuffle.bsgs import (
     _order_bound,
     bfs_enumerate,
     group_order,
-    schreier_sims,
 )
 from unshuffle.groups import FAMILIES, family_generators, power_of_two_exponent, predict_group
 from unshuffle.perm import Permutation, random_centrally_symmetric
@@ -375,10 +374,6 @@ class TestDispatch:
             group_order(symmetric_gens(7), cap=1000, engine="bfs")
         # the chain engine has no cap to hit
         assert group_order(symmetric_gens(7), cap=1000) == math.factorial(7)
-
-    def test_schreier_sims_convenience(self):
-        assert schreier_sims(S3_GENS).order == 6
-        assert schreier_sims([], degree=3).order == 1
 
     def test_default_cap_value(self):
         assert DEFAULT_CAP == 10_000_000

@@ -47,8 +47,13 @@ class TestShuffle:
             {"step": "L", "arrangement": [4, 2, 0, 5, 3, 1]},
         ]
 
-    def test_odd_deck_is_usage_error(self, run_cli):
-        code, _, err = run_cli("shuffle", "--deck", 7, "--word", "L")
+    @pytest.mark.parametrize(
+        "deck, word",
+        [(7, "L"), (7, ""), (2097152, "")],
+        ids=["odd", "odd-empty-word", "past-max-deck-empty-word"],
+    )
+    def test_odd_deck_is_usage_error(self, run_cli, deck, word):
+        code, _, err = run_cli("shuffle", "--deck", deck, "--word", word)
         assert code == 2
         assert "error:" in err
 
@@ -197,6 +202,14 @@ class TestGroupOrder:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("family, letters", [("LR", "L,R"), ("IO", "I,O")])
+    def test_family_equals_its_letter_list(self, run_cli, family, letters):
+        # as a word list "LR" would be the one generator L*R; the family
+        # shorthand names the pair
+        expected = run_cli("group-order", "--deck", 6, "--gens", family)[1]
+        assert run_cli("group-order", "--deck", 6, "--gens", letters)[1] == expected
+        assert expected == {"LR": "48\n", "IO": "24\n"}[family]
+
     def test_bad_generator_list(self, run_cli):
         assert run_cli("group-order", "--deck", 6, "--gens", "L,,R")[0] == 2
 
@@ -305,6 +318,13 @@ class TestVerify:
         assert [entry["two_n"] for entry in parsed] == [254, 254, 256, 256]
         assert all(entry["computed_order"] is None for entry in parsed)
         assert not any(entry["match"] for entry in parsed)
+
+    def test_unwritable_report_is_usage_error(self, run_cli, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        code, _, err = run_cli("verify", "--min", 2, "--max", 4, "--out", path)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not path.exists()
 
     def test_inverted_range_rejected(self, run_cli):
         assert run_cli("verify", "--min", 10, "--max", 8)[0] == 2

@@ -281,9 +281,12 @@ class TestSubstitution:
 
 
 class TestVerification:
-    def test_small_deck_uses_bfs(self):
-        record = verify_deck_size(6, "unshuffle")
-        assert record.engine_used == "bfs"
+    @pytest.mark.parametrize("engine, used", [("auto", "schreier"), ("bfs", "bfs")])
+    def test_small_deck_engine(self, engine, used):
+        # auto builds the certified chain even where BFS would fit; BFS
+        # runs when named and gives the same record
+        record = verify_deck_size(6, "unshuffle", engine=engine)
+        assert record.engine_used == used
         assert record.computed_order == 48
         assert record.predicted_order == 48
         assert record.match is True
@@ -314,8 +317,8 @@ class TestVerification:
         assert record.match is False
 
     def test_auto_past_byte_limit_uses_chain(self):
-        # the predicted order 8 * 2^8 is under the cap, but 256 cards do not
-        # fit BFS's byte packing
+        # auto builds the chain at every deck size, here past BFS's byte
+        # packing
         record = verify_deck_size(256, "perfect")
         assert record.engine_used == "schreier"
         assert record.computed_order == record.predicted_order == 2048

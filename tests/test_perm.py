@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.perm import (
-    Permutation,
-    all_permutations,
-    compose,
-    compose_all,
-    random_centrally_symmetric,
-)
+from unshuffle.perm import Permutation, random_centrally_symmetric
 
 
 def perms(max_degree=30):
@@ -79,7 +73,6 @@ class TestComposition:
         p = Permutation([1, 0, 2])
         q = Permutation([0, 2, 1])
         assert (p * q)(0) == 2
-        assert compose(p, q) == p * q
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -114,7 +107,9 @@ class TestPowers:
     @given(perms(), st.integers(min_value=-6, max_value=6))
     def test_pow_matches_repeated_product(self, p, k):
         base = p if k >= 0 else p.inverse()
-        expected = compose_all([base] * abs(k), p.degree)
+        expected = Permutation.identity(p.degree)
+        for _ in range(abs(k)):
+            expected = expected * base
         assert p**k == expected
 
     @given(perms(max_degree=12), st.integers(-8, 8), st.integers(-8, 8))
@@ -256,22 +251,3 @@ class TestTextForms:
     def test_image_text_round_trip_property(self, p):
         assert Permutation.from_image_text(p.to_image_text()) == p
 
-
-def test_compose_all_empty_is_identity():
-    assert compose_all([], 4).is_identity()
-
-
-@given(st.lists(st.permutations(list(range(5))), max_size=6))
-def test_compose_all_folds_left(images):
-    ps = [Permutation(img) for img in images]
-    expected = Permutation.identity(5)
-    for p in ps:
-        expected = expected * p
-    assert compose_all(ps, 5) == expected
-
-
-def test_all_permutations_small():
-    got = list(all_permutations(3))
-    assert len(got) == 6
-    assert len(set(got)) == 6
-    assert all(p.degree == 3 for p in got)

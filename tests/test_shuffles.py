@@ -18,6 +18,7 @@ from unshuffle.shuffles import (
     parse_word,
     shuffle_order,
     shuffle_permutation,
+    walk_word,
     word_permutation,
     word_power,
 )
@@ -133,6 +134,13 @@ class TestWords:
         for step in word:
             expected = expected * shuffle_permutation(step, size)
         assert word_permutation(word, size) == expected
+
+    @given(words(max_size=6), deck_sizes)
+    def test_walk_visits_every_prefix(self, word, size):
+        expected = [Permutation.identity(size)]
+        for step in word:
+            expected.append(expected[-1] * shuffle_permutation(step, size))
+        assert list(walk_word(word, size)) == expected
 
     @given(words(max_size=6), deck_sizes)
     def test_invert_word_evaluates_to_inverse(self, word, size):
