@@ -41,19 +41,17 @@ from .shuffles import (
 OK, MISMATCH, USAGE, INFEASIBLE = 0, 1, 2, 3
 
 
-def _steps(word, deck_size):
-    """(label, arrangement) pairs: the sorted deck, then one entry per step."""
+def _steps(word, deck_size) -> list[dict]:
+    """The sorted deck, then the deck after each step of the word."""
     labels = ["start", *map(str, word)]
-    return [(label, p.arrangement()) for label, p in zip(labels, walk_word(word, deck_size))]
+    return [
+        {"step": label, "arrangement": list(p.arrangement())}
+        for label, p in zip(labels, walk_word(word, deck_size))
+    ]
 
 
-def _steps_json(states) -> list[dict]:
-    return [{"step": label, "arrangement": list(arr)} for label, arr in states]
-
-
-def _print_steps(states) -> None:
-    for label, arrangement in states:
-        print(f"{label}: {','.join(map(str, arrangement))}")
+def _step_lines(steps) -> list[str]:
+    return [f"{s['step']}: {','.join(map(str, s['arrangement']))}" for s in steps]
 
 
 def _parse_step(token: str) -> Step:
@@ -84,135 +82,90 @@ def _parse_permutation(text: str, deck_size: int) -> Permutation:
     return p
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+# Each handler returns (exit status, JSON payload, text lines); main renders one of them.
 
 
-def _cmd_shuffle(args) -> int:
+def _cmd_shuffle(args):
     word = as_word(args.word)
+    payload = {"deck": args.deck, "word": format_word(word)}
     if args.show_steps:
-        states = _steps(word, args.deck)
-        final = states[-1][1]
-    else:
-        final = word_permutation(word, args.deck).arrangement()
-    if args.format == "json":
-        payload = {"deck": args.deck, "word": format_word(word), "arrangement": list(final)}
-        if args.show_steps:
-            payload["steps"] = _steps_json(states)
-        _emit_json(payload)
-    elif args.show_steps:
-        _print_steps(states)
-    else:
-        print(",".join(map(str, final)))
-    return OK
+        steps = _steps(word, args.deck)
+        payload.update(arrangement=steps[-1]["arrangement"], steps=steps)
+        return OK, payload, _step_lines(steps)
+    payload["arrangement"] = list(word_permutation(word, args.deck).arrangement())
+    return OK, payload, [",".join(map(str, payload["arrangement"]))]
 
 
-def _cmd_perm(args) -> int:
+def _cmd_perm(args):
     p = shuffle_permutation(_parse_step(args.symbol), args.deck)
-    print(p.to_cycle_text() if args.format == "cycles" else p.to_image_text())
-    return OK
+    return OK, None, [p.to_cycle_text() if args.format == "cycles" else p.to_image_text()]
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args):
     step = _parse_step(args.symbol)
     if step.letter in ("L", "R") and not step.inverted:
         order = shuffle_order(step.letter, args.deck)
     else:
         order = shuffle_permutation(step, args.deck).order()
-    if args.format == "json":
-        _emit_json({"deck": args.deck, "symbol": str(step), "order": order})
-    else:
-        print(order)
-    return OK
+    return OK, {"deck": args.deck, "symbol": str(step), "order": order}, [str(order)]
 
 
-def _cmd_swap(args) -> int:
+def _cmd_swap(args):
     k = power_of_two_exponent(args.deck)
     if k is None or k < 1:
         raise ValueError(f"swap words need a power-of-two deck size, got {args.deck}")
     word = unshuffle_swap_word(args.a, args.b, k)
-    states = _steps(word, args.deck)
-    if args.format == "json":
-        _emit_json(
-            {
-                "deck": args.deck,
-                "a": args.a,
-                "b": args.b,
-                "word": format_word(word),
-                "steps": _steps_json(states),
-            }
-        )
-    else:
-        print(format_word(word))
-        _print_steps(states)
-    return OK
+    steps = _steps(word, args.deck)
+    word_text = format_word(word)
+    payload = {"deck": args.deck, "a": args.a, "b": args.b, "word": word_text, "steps": steps}
+    return OK, payload, [word_text, *_step_lines(steps)]
 
 
-def _cmd_elmsley(args) -> int:
+def _cmd_elmsley(args):
     word = perfect_elmsley_word(args.target, args.deck)
-    states = _steps(word, args.deck) if args.show_steps else None
-    if args.format == "json":
-        payload = {"deck": args.deck, "target": args.target, "word": format_word(word)}
-        if args.show_steps:
-            payload["steps"] = _steps_json(states)
-        _emit_json(payload)
-    else:
-        print(format_word(word))
-        if args.show_steps:
-            _print_steps(states)
-    return OK
+    payload = {"deck": args.deck, "target": args.target, "word": format_word(word)}
+    lines = [payload["word"]]
+    if args.show_steps:
+        payload["steps"] = _steps(word, args.deck)
+        lines += _step_lines(payload["steps"])
+    return OK, payload, lines
 
 
-def _cmd_group_order(args) -> int:
+def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
     engine_used = _resolve_engine(args.engine)
     if engine_used == "bfs":
-        order = bfs_enumerate(gens, args.cap).order
+        order = str(bfs_enumerate(gens, args.cap).order)
     else:
-        order = StabilizerChain(gens).order
-    if args.format == "json":
-        _emit_json(
-            {
-                "deck": args.deck,
-                "gens": args.gens,
-                "engine_used": engine_used,
-                "order": str(order),
-            }
-        )
-    else:
-        print(order)
-    return OK
+        order = str(StabilizerChain(gens).order)
+    payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
+    return OK, payload, [order]
 
 
-def _cmd_group_predict(args) -> int:
+def _cmd_group_predict(args):
     prediction = predict_group(args.family, args.deck)
-    if args.format == "json":
-        _emit_json(
-            {
-                "deck": prediction.deck_size,
-                "family": prediction.family,
-                "case": prediction.case,
-                "order": str(prediction.order),
-                "order_factored": prediction.order_factored,
-                "characterization": prediction.characterization,
-            }
-        )
-    else:
-        print(f"case: {prediction.case}")
-        print(f"order: {prediction.order} ({prediction.order_factored})")
-        print(f"structure: {prediction.characterization}")
-    return OK
+    payload = {
+        "deck": prediction.deck_size,
+        "family": prediction.family,
+        "case": prediction.case,
+        "order": str(prediction.order),
+        "order_factored": prediction.order_factored,
+        "characterization": prediction.characterization,
+    }
+    lines = [
+        f"case: {prediction.case}",
+        f"order: {prediction.order} ({prediction.order_factored})",
+        f"structure: {prediction.characterization}",
+    ]
+    return OK, payload, lines
 
 
-def _cmd_group_member(args) -> int:
+def _cmd_group_member(args):
     gens = _parse_generators(args.gens, args.deck)
     p = _parse_permutation(args.perm, args.deck)
     member = StabilizerChain(gens).contains(p)
-    if args.format == "json":
-        _emit_json({"deck": args.deck, "gens": args.gens, "member": member})
-    else:
-        print("true" if member else "false")
-    return OK
+    payload = {"deck": args.deck, "gens": args.gens, "member": member}
+    return OK, payload, ["true" if member else "false"]
 
 
 def _record_line(record) -> str:
@@ -229,33 +182,29 @@ def _record_line(record) -> str:
     return line
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     if args.min > args.max:
         raise ValueError(f"--min {args.min} exceeds --max {args.max}")
-    sizes = [s for s in range(args.min, args.max + 1) if s % 2 == 0]
+    sizes = range(args.min + args.min % 2, args.max + 1, 2)
     if not sizes:
         raise ValueError(f"no even deck sizes in [{args.min}, {args.max}]")
-    for s in sizes:
-        check_deck_size(s)
+    check_deck_size(sizes[0])
+    check_deck_size(sizes[-1])
     records = verify_deck_sizes(sizes, engine=args.engine, cap=args.cap)
     if args.out:
         try:
             write_report(records, args.out)
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return USAGE
-    if args.format == "json":
-        _emit_json([r.to_fields() for r in records])
-    else:
-        for record in records:
-            print(_record_line(record))
-        matches = sum(r.match for r in records)
-        print(f"{len(records)} records, {matches} match")
+            raise ValueError(f"cannot write report: {exc}") from exc
+    matches = sum(r.match for r in records)
+    lines = [*map(_record_line, records), f"{len(records)} records, {matches} match"]
     if any(r.computed_order is None for r in records):
-        return INFEASIBLE
-    if not all(r.match for r in records):
-        return MISMATCH
-    return OK
+        status = INFEASIBLE
+    elif matches < len(records):
+        status = MISMATCH
+    else:
+        status = OK
+    return status, [r.to_fields() for r in records], lines
 
 
 def _add_deck(parser, required=True):
@@ -346,13 +295,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
-        return args.handler(args)
+        status, payload, lines = args.handler(args)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    return status
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
+import dataclasses
 import json
 import math
+import time
 
 import pytest
+
+from unshuffle import groups
 
 
 class TestShuffle:
@@ -331,6 +335,35 @@ class TestVerify:
 
     def test_empty_range_rejected(self, run_cli):
         assert run_cli("verify", "--min", 3, "--max", 3)[0] == 2
+
+    def test_huge_max_rejected_before_any_record(self, run_cli):
+        start = time.perf_counter()
+        code, out, err = run_cli("verify", "--min", 2, "--max", 10**12)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert "exceeds the supported maximum" in err
+
+    def test_mismatch_exit_code(self, run_cli, monkeypatch):
+        true_prediction = groups.predict_group
+
+        def wrong_at_six(family, deck_size):
+            prediction = true_prediction(family, deck_size)
+            if (family, deck_size) == ("perfect", 6):
+                prediction = dataclasses.replace(prediction, order=prediction.order + 1)
+            return prediction
+
+        monkeypatch.setattr(groups, "predict_group", wrong_at_six)
+        code, out, _ = run_cli("verify", "--min", 4, "--max", 6)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "4 records, 3 match"
+        assert [("match=NO" in line) for line in lines[:-1]] == [False, False, True, False]
+        assert "2n=6 family=perfect" in lines[2]
+
+        code, out, _ = run_cli("verify", "--min", 4, "--max", 6, "--format", "json")
+        assert code == 1
+        assert [entry["match"] for entry in json.loads(out)] == [True, True, False, True]
 
 
 class TestUsage:
