@@ -1,7 +1,17 @@
 """Exact computations in finite permutation groups given by generators.
 
-Two independent engines, kept deliberately separate so they can check each
-other:
+Three ways to an exact order.  BFS and the chain are independent engines,
+kept deliberately separate so they can check each other; the certificate
+proves the order without either:
+
+* :func:`_certified_order` proves that the group reaches
+  :func:`_order_bound` with a seeded witness: a giant (A_m or S_m) action
+  on the mirror pairs or the points, by Jordan's theorem, and for
+  centrally symmetric generators one flip pattern that is not constant.
+  Each random element costs O(d), so it answers at thousands of cards
+  where a chain would need gigabytes.  It gives None where no witness
+  exists (the shuffle groups at 2n <= 16, 24 and 2^k, intransitive or
+  imprimitive groups, small degrees).
 
 * :func:`bfs_enumerate` walks the Cayley graph breadth first and returns the
   full element set.  Exact but memory bound; it refuses to grow past a cap.
@@ -25,8 +35,9 @@ other:
 
 Every ``engine="auto"`` in the package (:func:`group_order`,
 :func:`unshuffle.groups.verify_deck_size`, the command line) means the
-chain: its order is certified, so BFS runs only when asked for by name, as
-the independent check.
+certificate, and the chain where the certificate gives None; see
+:func:`_resolve_engine`.  ``schreier`` forces the chain, and BFS runs only
+when asked for by name, as the independent check.
 
 Internally permutations are raw image tuples, composed ("left then right")
 and inverted by the kernels of :mod:`unshuffle.perm`, which the chain's
@@ -55,6 +66,8 @@ _RANDOM_SEED = 20230207
 _PR_SLOTS = 11
 _PR_WARMUP = 50
 _TRIVIAL_SIFTS = 30
+# the product-replacement samples _certified_order draws before it gives up
+_CERTIFICATE_SAMPLES = 100
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -161,7 +174,7 @@ def _order_bound(generators) -> int:
     """
     perms = [_wrap(_raw(g)) for g in generators]
     d = perms[0].degree
-    if d >= 4 and all(p.is_centrally_symmetric() for p in perms):
+    if _on_pairs(perms):
         signs = [(p.parity(), p.pair_parity()) for p in perms]
         trivial = (
             1
@@ -174,6 +187,117 @@ def _order_bound(generators) -> int:
     if d >= 2 and all(p.parity() == 1 for p in perms):
         return math.factorial(d) // 2
     return math.factorial(d)
+
+
+def _on_pairs(perms) -> bool:
+    # the bound and the certificate use the mirror pairs: every generator
+    # is centrally symmetric and there are at least two pairs
+    return perms[0].degree >= 4 and all(p.is_centrally_symmetric() for p in perms)
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1))
+
+
+def _home_cycles(g: tuple[int, ...], m: int) -> list[tuple[int, bool]]:
+    # the cycles of g on m homes: the points when m = d, else the mirror
+    # pairs, pair x < m standing for {x, d-1-x}.  Each cycle is given as
+    # its length and whether g^length sends its first point to the mirror.
+    d = len(g)
+    seen = bytearray(m)
+    cycles = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        x, length = start, 0
+        while True:
+            x = g[x]
+            length += 1
+            home = x if x < m else d - 1 - x
+            if home == start:
+                break
+            seen[home] = 1
+        cycles.append((length, x != start))
+    return cycles
+
+
+def _certified_order(generators) -> int | None:
+    """:func:`_order_bound`, when a seeded witness proves that the group
+    reaches it; None when no witness turns up.
+
+    The test acts on m homes: the n = d/2 mirror pairs when the bound used
+    them (every generator centrally symmetric, d >= 4), else the d points.
+    Let H be the group's action on the homes and G the group itself.
+
+    *Giant image.*  H is transitive (one orbit walk), and a sample h has a
+    cycle of prime length p with m/2 < p <= m-3, which exists only for
+    m >= 8.  Every other cycle of h is shorter than p, so a power of h is a
+    p-cycle c.  Then H is primitive: c permutes the blocks of a block
+    system in orbits of length 1 or p.  An orbit of p > m/2 blocks leaves
+    blocks of one point; if c fixes every block, the block meeting c's
+    support contains all of it, so it has more than m/2 points and is the
+    only block.  By Jordan's theorem (Dixon & Mortimer, *Permutation
+    Groups*, Thm 3.3E) a primitive group with a p-cycle, p <= m-3,
+    contains A_m.
+
+    *Points.*  G = H contains A_d, so |G| is d!/2 when every generator is
+    even and d! otherwise: the bound.
+
+    *Pairs.*  G lies in B_n = F_2^n : S_n, and its kernel K on the pairs
+    consists of flip vectors.  G normalizes K and permutes its coordinates
+    through H, which contains A_n (n >= 8 here).  For a sample g whose
+    pair image has order r, g^r lies in K: on each pair cycle of length l
+    it flips every pair of the cycle exactly when g^l flips the cycle's
+    first pair and r/l is odd, so it takes O(d) to read off.  Suppose one
+    such vector v is not constant, with v_i = 1 and v_j = 0.  Two of the
+    other n-2 >= 3 coordinates agree, say k and l, so the double
+    transposition (i j)(k l) in A_n sends v to v + e_i + e_j, and K holds
+    e_i + e_j.
+    A_n is 2-transitive, so K holds every e_a + e_b and with them the
+    even vectors E.  Modulo E, the part of G over A_n lies in
+    Z_2 x A_n and maps onto A_n; A_n is perfect (n >= 5), so the derived
+    group of that image is 1 x A_n, and G contains E : A_n = [B_n, B_n].
+    B_n / [B_n, B_n] is Z_2^2, whose four characters are the ones
+    :func:`_order_bound` counts, so |G| = |B_n| / (the number of them
+    trivial on the generators): the bound.  No odd-weight vector is
+    needed.
+
+    Samples come from product replacement in a private
+    ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
+    them, so the answer is the same on every run.  Small m, the shuffle
+    groups at 2n = 12, 24 and 2^k, and intransitive or imprimitive groups
+    give None, and the caller builds a :class:`StabilizerChain`.
+    """
+    raws, degree, _ = _normalize(generators)
+    if not raws:
+        return None
+    paired = _on_pairs([_wrap(g) for g in raws])
+    m = degree // 2 if paired else degree
+    if not any(map(_is_prime, range(m // 2 + 1, m - 2))):
+        return None
+    orbit, frontier = {0}, [0]
+    for x in frontier:
+        for g in raws:
+            y = g[x]
+            y = y if y < m else degree - 1 - y
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    if len(orbit) < m:
+        return None
+    giant, kernel = False, not paired
+    elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
+    for g in itertools.islice(elements, _CERTIFICATE_SAMPLES):
+        cycles = _home_cycles(g, m)
+        giant = giant or any(
+            m < 2 * length <= 2 * m - 6 and _is_prime(length) for length, _ in cycles
+        )
+        if not kernel:
+            r = math.lcm(*(length for length, _ in cycles))
+            kernel = len({flip and r // length % 2 == 1 for length, flip in cycles}) == 2
+        if giant and kernel:
+            return _order_bound(raws)
+    return None
 
 
 def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, ...]]:
@@ -379,24 +503,32 @@ class StabilizerChain:
                 return j
 
 
-def _resolve_engine(engine: str) -> str:
-    # the package's one engine policy: "auto" builds the stabilizer chain,
-    # whose order is certified; BFS runs only when asked for by name
+def _resolve_engine(engine: str, generators) -> tuple[str, int | None]:
+    """The package's one engine policy: the engine that answers and, when
+    that is the certificate, the order it proved.
+
+    ``auto`` means :func:`_certified_order`, and the stabilizer chain when
+    that gives None; ``schreier`` means the chain and ``bfs`` BFS.  The
+    caller builds the chain or runs BFS itself.
+    """
     if engine == "auto":
-        return "schreier"
+        order = _certified_order(generators)
+        return ("schreier", None) if order is None else ("certificate", order)
     if engine in ("bfs", "schreier"):
-        return engine
+        return engine, None
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
     """Order of the generated group by the requested engine.
 
-    A stabilizer chain answers order-only questions quickly at any scale,
-    so that is what ``auto`` uses; ask for ``bfs`` when you want the same
-    number from the independent engine (it raises
+    ``auto`` answers with the certificate where a witness proves the order
+    bound, and with a stabilizer chain elsewhere; both are exact at any
+    scale.  Ask for ``schreier`` to force the chain, or for ``bfs`` when
+    you want the same number from the independent engine (it raises
     :class:`EnumerationCapExceeded` past the cap).
     """
-    if _resolve_engine(engine) == "bfs":
+    chosen, order = _resolve_engine(engine, generators)
+    if chosen == "bfs":
         return bfs_enumerate(generators, cap).order
-    return StabilizerChain(generators).order
+    return order or StabilizerChain(generators).order

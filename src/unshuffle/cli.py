@@ -20,6 +20,7 @@ from .bsgs import (
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
+    decimal_text,
     family_generators,
     power_of_two_exponent,
     predict_group,
@@ -133,11 +134,12 @@ def _cmd_elmsley(args):
 
 def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
-    engine_used = _resolve_engine(args.engine)
+    engine_used, order = _resolve_engine(args.engine, gens)
     if engine_used == "bfs":
-        order = str(bfs_enumerate(gens, args.cap).order)
-    else:
-        order = str(StabilizerChain(gens).order)
+        order = bfs_enumerate(gens, args.cap).order
+    elif engine_used == "schreier":
+        order = StabilizerChain(gens).order
+    order = decimal_text(order)
     payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
     return OK, payload, [order]
 
@@ -148,13 +150,13 @@ def _cmd_group_predict(args):
         "deck": prediction.deck_size,
         "family": prediction.family,
         "case": prediction.case,
-        "order": str(prediction.order),
+        "order": decimal_text(prediction.order),
         "order_factored": prediction.order_factored,
         "characterization": prediction.characterization,
     }
     lines = [
         f"case: {prediction.case}",
-        f"order: {prediction.order} ({prediction.order_factored})",
+        f"order: {payload['order']} ({prediction.order_factored})",
         f"structure: {prediction.characterization}",
     ]
     return OK, payload, lines
@@ -168,17 +170,16 @@ def _cmd_group_member(args):
     return OK, payload, ["true" if member else "false"]
 
 
-def _record_line(record) -> str:
-    computed = "?" if record.computed_order is None else record.computed_order
-    signs = ",".join(f"{s:+d}" for s in record.parities)
+def _record_line(fields) -> str:
+    signs = ",".join(f"{s:+d}" for s in fields["parities"].values())
     line = (
-        f"2n={record.two_n} family={record.family} engine={record.engine_used} "
-        f"computed={computed} predicted={record.predicted_order} "
-        f"({record.predicted_order_factored}) match={'yes' if record.match else 'NO'} "
+        f"2n={fields['two_n']} family={fields['family']} engine={fields['engine_used']} "
+        f"computed={fields['computed_order'] or '?'} predicted={fields['predicted_order']} "
+        f"({fields['predicted_order_factored']}) match={'yes' if fields['match'] else 'NO'} "
         f"signs=({signs})"
     )
-    if record.kernel_order_computed is not None:
-        line += f" kernel={record.kernel_order_computed}/{record.kernel_order_predicted}"
+    if "kernel_order_computed" in fields:
+        line += f" kernel={fields['kernel_order_computed']}/{fields['kernel_order_predicted']}"
     return line
 
 
@@ -197,14 +198,15 @@ def _cmd_verify(args):
         except OSError as exc:
             raise ValueError(f"cannot write report: {exc}") from exc
     matches = sum(r.match for r in records)
-    lines = [*map(_record_line, records), f"{len(records)} records, {matches} match"]
+    payload = [r.to_fields() for r in records]
+    lines = [*map(_record_line, payload), f"{len(records)} records, {matches} match"]
     if any(r.computed_order is None for r in records):
         status = INFEASIBLE
     elif matches < len(records):
         status = MISMATCH
     else:
         status = OK
-    return status, [r.to_fields() for r in records], lines
+    return status, payload, lines
 
 
 def _add_deck(parser, required=True):

@@ -4,9 +4,13 @@ The two generator families are the unshuffles ``<L, R>`` and the perfect
 shuffles ``<I, O>``.  For every even deck size the exact order of each
 group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
-reports whether theory and computation agree.  The recomputation builds a
-certified stabilizer chain unless BFS enumeration, the independent engine,
-is asked for by name; the prediction never picks the engine.
+reports whether theory and computation agree.  The recomputation proves
+the order with the giant-image certificate of
+:func:`unshuffle.bsgs._certified_order` where a witness turns up, and
+builds a certified stabilizer chain elsewhere (2n <= 16, 24 and 2^k) or
+when the chain is asked for by name; BFS enumeration, the independent
+engine, also runs only when asked for.  The prediction never picks the
+engine.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -29,6 +33,7 @@ from .bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
+    _certified_order,
     _resolve_engine,
     bfs_enumerate,
 )
@@ -151,14 +156,16 @@ def predicted_kernel_order(n: int) -> int:
 def pair_kernel_order(generators, group_order: int | None = None) -> int:
     """Order of the kernel of the pair action on the generated group.
 
-    Computed as |G| / |image| via two stabilizer chains and the first
-    isomorphism theorem; pass ``group_order`` if |G| is already known.
+    Computed as |G| / |image| by the first isomorphism theorem.  Each
+    order comes from the giant-image certificate, or from a stabilizer
+    chain where the certificate gives none (the image at n < 8, for
+    example); pass ``group_order`` if |G| is already known.
     """
     gens = list(generators)
     if group_order is None:
-        group_order = StabilizerChain(gens).order
+        group_order = _certified_order(gens) or StabilizerChain(gens).order
     images = [g.pair_permutation() for g in gens]
-    image_order = StabilizerChain(images).order
+    image_order = _certified_order(images) or StabilizerChain(images).order
     if group_order % image_order:
         raise ValueError("group order is not divisible by pair-image order")
     return group_order // image_order
@@ -263,6 +270,19 @@ def substitute_unshuffles(word) -> SubstitutionResult:
 # --- verification records ---
 
 
+def decimal_text(value: int) -> str:
+    """The decimal digits of an integer of any size.  ``str`` refuses ints
+    longer than ``sys.get_int_max_str_digits()``, 4300 digits by default,
+    which the group orders pass from 2n = 2848 on; ``Decimal`` does not."""
+    try:
+        return str(value)
+    except ValueError:
+        # imported only when needed: the import alone takes about 2 ms
+        from decimal import Decimal
+
+        return str(Decimal(value))
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     two_n: int
@@ -278,12 +298,13 @@ class VerificationRecord:
 
     def to_fields(self) -> dict:
         """Serialization dict, fixed key order, orders as decimal strings."""
+        computed = self.computed_order
         fields: dict = {
             "two_n": self.two_n,
             "family": self.family,
             "engine_used": self.engine_used,
-            "computed_order": None if self.computed_order is None else str(self.computed_order),
-            "predicted_order": str(self.predicted_order),
+            "computed_order": None if computed is None else decimal_text(computed),
+            "predicted_order": decimal_text(self.predicted_order),
             "predicted_order_factored": self.predicted_order_factored,
             "match": self.match,
             "parities": {
@@ -294,8 +315,8 @@ class VerificationRecord:
             },
         }
         if self.kernel_order_computed is not None:
-            fields["kernel_order_computed"] = str(self.kernel_order_computed)
-            fields["kernel_order_predicted"] = str(self.kernel_order_predicted)
+            fields["kernel_order_computed"] = decimal_text(self.kernel_order_computed)
+            fields["kernel_order_predicted"] = decimal_text(self.kernel_order_predicted)
         return fields
 
 
@@ -304,22 +325,22 @@ def verify_deck_size(
 ) -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
-    ``auto`` and ``schreier`` build a stabilizer chain, whose order is
-    exact by construction; ``bfs`` enumerates every element instead, the
-    engine independent of the chain.  The prediction only supplies the
-    expected value, never the engine.  A forced ``bfs`` run that blows the
+    ``auto`` proves the order with the giant-image certificate where it
+    can (``engine_used`` "certificate") and builds a stabilizer chain
+    elsewhere; ``schreier`` always builds the chain, whose order is exact
+    by construction; ``bfs`` enumerates every element instead, the engine
+    independent of both.  The prediction only supplies the expected
+    value, never the engine.  A forced ``bfs`` run that blows the
     cap or the byte limit (more than ``BFS_MAX_DEGREE`` cards) yields a
     record with no computed order and ``match`` false rather than an
     exception, so a sweep over many deck sizes degrades per record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    chosen = _resolve_engine(engine)
-
-    computed: int | None = None
+    chosen, computed = _resolve_engine(engine, gens)
     if chosen == "schreier":
         computed = StabilizerChain(gens).order
-    elif deck_size <= BFS_MAX_DEGREE:
+    elif chosen == "bfs" and deck_size <= BFS_MAX_DEGREE:
         try:
             computed = bfs_enumerate(gens, cap).order
         except EnumerationCapExceeded:

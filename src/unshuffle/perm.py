@@ -165,9 +165,12 @@ class Permutation:
 
     @classmethod
     def from_image_text(cls, text: str) -> "Permutation":
-        parts = text.strip().split(",")
+        """Comma-separated images in ASCII digits, each with optional
+        ASCII whitespace around it."""
+        if not re.fullmatch(r"\s*[0-9]+\s*(,\s*[0-9]+\s*)*", text, re.ASCII):
+            raise ValueError(f"bad image text: {text!r}")
         try:
-            return cls(int(p) for p in parts)
+            return cls(int(p) for p in text.split(","))
         except ValueError:
             raise ValueError(f"bad image text: {text!r}") from None
 
@@ -179,12 +182,13 @@ class Permutation:
 
     @classmethod
     def from_cycle_text(cls, text: str, degree: int) -> "Permutation":
-        stripped = text.strip()
-        if not re.fullmatch(r"(\(\s*[\d\s]*\))+", stripped):
+        """Cycles such as "(0 2)(1 4)", points in ASCII digits separated by
+        ASCII whitespace; "()" is the identity."""
+        if not re.fullmatch(r"\s*(\([0-9\s]*\))+\s*", text, re.ASCII):
             raise ValueError(f"bad cycle text: {text!r}")
         image = list(range(degree))
         touched = set()
-        for body in re.findall(r"\(([^()]*)\)", stripped):
+        for body in re.findall(r"\(([^()]*)\)", text):
             points = [int(tok) for tok in body.split()]
             if any(p >= degree for p in points):
                 raise ValueError(f"cycle point out of range for degree {degree}")

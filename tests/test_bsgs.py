@@ -12,6 +12,7 @@ from unshuffle.bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
+    _certified_order,
     _order_bound,
     bfs_enumerate,
     group_order,
@@ -43,6 +44,41 @@ def generator_sets(draw):
         else:
             gens.append(Permutation(draw(st.permutations(list(range(degree))))))
     return gens
+
+
+@st.composite
+def certifiable_sets(draw):
+    """1-3 generators, either all centrally symmetric on 5..12 pairs or
+    arbitrary on 5..16 points: sizes where a witness can exist, so the
+    certificate answers for most draws and the chain checks it."""
+    rng = draw(st.randoms(use_true_random=False))
+    count = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=5, max_value=12))
+        return [random_centrally_symmetric(rng, n) for _ in range(count)]
+    d = draw(st.integers(min_value=5, max_value=16))
+    return [Permutation(rng.sample(range(d), d)) for _ in range(count)]
+
+
+def symmetric_lift(pair_image, flips, n):
+    """The centrally symmetric permutation of 2n points that acts on the
+    mirror pairs as pair_image and flips the pairs whose index is in flips."""
+    d = 2 * n
+    image = [0] * d
+    for i in range(n):
+        x = pair_image[i]
+        image[i] = d - 1 - x if i in flips else x
+        image[d - 1 - i] = d - 1 - image[i]
+    return Permutation(image)
+
+
+def psl27_on_projective_line():
+    # x -> x + 1, x -> 2x and x -> -1/x on F_7 and infinity (point 7)
+    inverse = {x: pow(x, -1, 7) for x in range(1, 7)}
+    shift = [(x + 1) % 7 for x in range(7)] + [7]
+    scale = [(2 * x) % 7 for x in range(7)] + [7]
+    flip = [7] + [(-inverse[x]) % 7 for x in range(1, 7)] + [0]
+    return [Permutation(shift), Permutation(scale), Permutation(flip)]
 
 
 def sympy_order(gens):
@@ -263,6 +299,88 @@ class TestOrderBound:
             assert StabilizerChain(images).order == bound
 
 
+class TestCertificate:
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_agrees_with_prediction(self, family):
+        # a witness turns up at every even 2n in [4, 400] except 2n <= 16,
+        # 24 and the powers of two, where the groups fall short of the bound
+        for size in range(4, 401, 2):
+            order = _certified_order(family_generators(family, size))
+            if size <= 16 or size == 24 or power_of_two_exponent(size) is not None:
+                assert order is None, size
+            else:
+                assert order == predict_group(family, size).order, size
+
+    @given(certifiable_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_forced_chain(self, gens):
+        order = _certified_order(gens)
+        if order is not None:
+            assert order == StabilizerChain(gens).order == _order_bound(gens)
+
+    def test_answers_exactly_when_the_bound_is_reached(self):
+        # the property above is not vacuous: random pairs of generators at
+        # these sizes mostly reach their bound (S_d or A_d; B_n or one of
+        # its index-2 or index-4 subgroups), and the certificate answers
+        # for every one that does
+        rng = random.Random(7)
+        answered = 0
+        for _ in range(10):
+            points = [Permutation(rng.sample(range(16), 16)) for _ in range(2)]
+            pairs = [random_centrally_symmetric(rng, 12) for _ in range(2)]
+            for gens in (points, pairs):
+                order, chain = _certified_order(gens), StabilizerChain(gens)
+                if chain.order == _order_bound(gens):
+                    assert order == chain.order
+                    answered += 1
+                else:
+                    assert order is None
+        assert answered >= 15
+
+    def test_psl27_is_not_a_giant(self):
+        # primitive on 8 points with 7-cycles, but 7 > 8 - 3 and the group
+        # has no element of order 5, so Jordan's theorem gives nothing
+        gens = psl27_on_projective_line()
+        assert _certified_order(gens) is None
+        assert StabilizerChain(gens).order == 168
+
+    def test_diagonal_symmetric_group_has_no_kernel_witness(self):
+        # S_10 acting on the pairs without flips: a giant pair image, but
+        # every g^k is the identity, so the kernel is trivial
+        n = 10
+        gens = [
+            symmetric_lift([1, 0] + list(range(2, n)), (), n),
+            symmetric_lift(list(range(1, n)) + [0], (), n),
+        ]
+        assert _certified_order(gens) is None
+        assert StabilizerChain(gens).order == math.factorial(n)
+
+    def test_intransitive_pair_image(self):
+        # B_8 on the first 8 of 9 pairs: 5-cycles and non-constant kernel
+        # vectors, but the last pair is fixed, so the pair image is no giant
+        n = 9
+        fixed = [8]
+        gens = [
+            symmetric_lift([1, 0] + list(range(2, 8)) + fixed, (), n),
+            symmetric_lift(list(range(1, 8)) + [0] + fixed, (), n),
+            symmetric_lift(list(range(n)), (0,), n),
+        ]
+        assert _certified_order(gens) is None
+        assert StabilizerChain(gens).order == math.factorial(8) * 2**8
+
+    def test_trivial_and_tiny_groups(self):
+        assert _certified_order([Permutation.identity(9)]) is None
+        assert _certified_order(symmetric_gens(7)) is None  # no prime in (3.5, 4]
+        assert _certified_order(symmetric_gens(8)) == math.factorial(8)
+        assert _certified_order(A4_GENS) is None
+
+    def test_global_random_state_untouched(self):
+        state = random.getstate()
+        _certified_order(family_generators("unshuffle", 52))
+        _certified_order(family_generators("perfect", 32))
+        assert random.getstate() == state
+
+
 class TestFallback:
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     @pytest.mark.parametrize("size", [12, 24, 32, 64])
@@ -364,6 +482,13 @@ class TestDispatch:
         assert group_order(gens) == 120
         assert group_order(gens, engine="bfs") == 120
         assert group_order(gens, engine="schreier") == 120
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_group_order_at_ten_thousand_cards(self, family):
+        # a chain at this size would need gigabytes; the certificate is O(d)
+        # a sample
+        gens = family_generators(family, 10002)
+        assert group_order(gens) == predict_group(family, 10002).order
 
     def test_group_order_bad_engine(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unshuffle import groups
+from unshuffle.cli import main
 
 
 class TestShuffle:
@@ -199,6 +204,21 @@ class TestGroupOrder:
         payload = json.loads(out)
         assert payload == {"deck": 6, "gens": "LR", "engine_used": "schreier", "order": "48"}
 
+    def test_json_reports_certificate(self, run_cli):
+        order = str(math.factorial(26) * 2**26)
+        for engine, used in (("auto", "certificate"), ("schreier", "schreier")):
+            _, out, _ = run_cli(
+                "group-order", "--deck", 52, "--engine", engine, "--format", "json"
+            )
+            payload = {"deck": 52, "gens": "LR", "engine_used": used, "order": order}
+            assert json.loads(out) == payload
+
+    def test_order_past_the_int_string_limit(self, run_cli):
+        # 2n = 2848 is the first deck size whose order has over 4300 digits
+        code, out, _ = run_cli("group-order", "--deck", 2848, "--gens", "IO")
+        assert code == 0
+        assert out.strip() == groups.decimal_text(groups.predict_group("perfect", 2848).order)
+
     def test_bfs_cap_exhaustion_is_infeasible(self, run_cli):
         code, _, err = run_cli(
             "group-order", "--deck", 20, "--engine", "bfs", "--cap", 1000
@@ -278,6 +298,16 @@ class TestGroupMember:
 
     def test_malformed_permutation(self, run_cli):
         assert run_cli("group-member", "--deck", 6, "--perm", "nope")[0] == 2
+
+    @pytest.mark.parametrize(
+        "text", ["\u0660,1,2,3,4,5", "(\u0661 2)", "\uff10,1,2,3,4,5", "+0,1,2,3,4,5"]
+    )
+    def test_ascii_digits_only(self, run_cli, text):
+        # int() and the regex \d read Arabic-Indic and full-width digits
+        code, out, err = run_cli("group-member", "--deck", 6, "--perm", text)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad ")
 
 
 class TestVerify:
@@ -364,6 +394,28 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--min", 4, "--max", 6, "--format", "json")
         assert code == 1
         assert [entry["match"] for entry in json.loads(out)] == [True, True, False, True]
+
+
+# any text, and text from the characters the three grammars use, so that
+# some draws parse
+CLI_TEXT = st.text() | st.text(alphabet="LRIOV' ,()012345\t\u0661\uff10")
+
+
+class TestArbitraryText:
+    """Any text given to --word, --gens or --perm gets a result or a usage
+    error, never a traceback."""
+
+    @given(st.sampled_from(["shuffle", "group-order", "member-gens", "member-perm"]), CLI_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_exits_zero_or_two(self, command, text):
+        argv = {
+            "shuffle": ["shuffle", "--deck", "6", f"--word={text}"],
+            "group-order": ["group-order", "--deck", "6", f"--gens={text}"],
+            "member-gens": ["group-member", "--deck", "6", f"--gens={text}", "--perm=0,1,2,3,4,5"],
+            "member-perm": ["group-member", "--deck", "6", f"--perm={text}"],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2)
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -10,6 +11,7 @@ from unshuffle.groups import (
     FAMILIES,
     VerificationRecord,
     computed_parity_row,
+    decimal_text,
     diaconis_words,
     family_generators,
     kernel_rule_applies,
@@ -162,6 +164,11 @@ class TestKernel:
         gens = family_generators("unshuffle", 100)
         assert pair_kernel_order(gens) == predicted_kernel_order(50) == 2**50
 
+    def test_two_thousand_cards(self):
+        # the group and its pair image are both certified, no chain needed
+        gens = family_generators("unshuffle", 2002)
+        assert pair_kernel_order(gens) == predicted_kernel_order(1001) == 2**1001
+
     def test_known_group_order_shortcut(self):
         gens = family_generators("unshuffle", 6)
         assert pair_kernel_order(gens, group_order=48) == 8
@@ -295,10 +302,22 @@ class TestVerification:
         assert record.kernel_order_predicted == 8
 
     def test_large_deck_uses_chain(self):
-        record = verify_deck_size(18, "perfect")
+        # the chain still runs when named, where auto has a certificate
+        record = verify_deck_size(18, "perfect", engine="schreier")
         assert record.engine_used == "schreier"
         assert record.computed_order == record.predicted_order == math.factorial(9) * 2**8
         assert record.kernel_order_computed is None
+
+    def test_auto_certifies_off_the_special_sizes(self):
+        # auto and schreier records differ only in engine_used, which is
+        # "certificate" everywhere but 2n <= 16, 24 and 32
+        for size in range(14, 37, 2):
+            for family in FAMILIES:
+                auto = verify_deck_size(size, family)
+                forced = verify_deck_size(size, family, engine="schreier")
+                expected = "schreier" if size <= 16 or size in (24, 32) else "certificate"
+                assert auto.engine_used == expected, (size, family)
+                assert auto == dataclasses.replace(forced, engine_used=expected)
 
     def test_kernel_reported_only_when_rule_applies(self):
         assert verify_deck_size(12, "unshuffle").kernel_order_computed is None
@@ -370,6 +389,15 @@ class TestReports:
         fields = record.to_fields()
         assert fields["computed_order"] == str(math.factorial(26) * 2**26)
         assert isinstance(fields["predicted_order"], str)
+
+    def test_orders_past_the_int_string_limit(self):
+        # from 2n = 2848 on the orders have more than the 4300 digits str()
+        # converts by default
+        fields = verify_deck_size(2848, "perfect").to_fields()
+        assert fields["match"] is True
+        assert len(fields["computed_order"]) > 4300
+        assert fields["computed_order"] == fields["predicted_order"]
+        assert decimal_text(10**5000) == "1" + "0" * 5000
 
     def test_infeasible_serializes_as_null(self):
         record = verify_deck_size(18, "perfect", engine="bfs", cap=100)

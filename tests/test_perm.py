@@ -220,7 +220,9 @@ class TestTextForms:
         assert Permutation.from_image_text("2,5,1,4,0,3") == p
         assert Permutation.from_image_text(" 1,0 ") == Permutation([1, 0])
 
-    @pytest.mark.parametrize("bad", ["", "1,2,x", "0;1", "1 0"])
+    @pytest.mark.parametrize(
+        "bad", ["", "1,2,x", "0;1", "1 0", "\u0661,0", "\uff11,0", "+1,0", "1_0,0", "1,0\u2003"]
+    )
     def test_image_text_rejects(self, bad):
         with pytest.raises(ValueError):
             Permutation.from_image_text(bad)
@@ -237,7 +239,10 @@ class TestTextForms:
 
     @pytest.mark.parametrize(
         "bad, degree",
-        [("(0 9)", 4), ("(0 1)(1 2)", 4), ("(0 0)", 4), ("0 1", 2), ("(0 1", 2), ("", 2)],
+        [
+            ("(0 9)", 4), ("(0 1)(1 2)", 4), ("(0 0)", 4), ("0 1", 2), ("(0 1", 2), ("", 2),
+            ("(\u0661 2)", 4), ("(0\u20031)", 4), ("(0 1) (2 3)", 4),
+        ],
     )
     def test_cycle_text_rejects(self, bad, degree):
         with pytest.raises(ValueError):
