@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .perm import Permutation, _compose, _invert, _wrap
 
@@ -321,11 +321,13 @@ class StabilizerChain:
 
     Base points are chosen greedily as the smallest point moved by the
     permutation that forced a new level.  Level i stores the generators of
-    the stabilizer of the first i base points, the orbit of base point i
-    under them as an append-only list, and a transversal of coset
-    representatives (with cached inverses; ``transversal[i][x]`` maps
-    base[i] to x).  A generator added to a level extends that level's
-    orbit and transversal in place.
+    the stabilizer of the first i base points with their inverses, the
+    orbit of base point i under them as an append-only list, and one
+    permutation per orbit point: the inverse v_x of the coset
+    representative u_x that maps base[i] to x.  The sift strips with v_x
+    directly; the public ``transversals`` view inverts v_x when it is read.
+    A generator added to a level extends that level's orbit and inverse
+    transversal in place.
 
     The build first sifts random elements from product replacement, seeded
     with a fixed seed in a private ``random.Random``, so reruns on the same
@@ -374,8 +376,10 @@ class StabilizerChain:
         return tuple(_wrap(g) for g in seen)
 
     @property
-    def transversals(self) -> tuple[dict[int, Permutation], ...]:
-        return tuple({x: _wrap(u) for x, u in tr.items()} for tr in self._tr)
+    def transversals(self) -> tuple[Mapping[int, Permutation], ...]:
+        """Per level, orbit point x -> the coset representative mapping the
+        base point to x, inverted from the stored v_x when it is read."""
+        return tuple(_Transversal(trinv) for trinv in self._trinv)
 
     def contains(self, p) -> bool:
         raw = _raw(p)
@@ -400,7 +404,7 @@ class StabilizerChain:
         # an empty chain, then the generators on the levels they need
         self._points: list[int] = []
         self._gens: list[list[tuple[int, ...]]] = []
-        self._tr: list[dict[int, tuple[int, ...]]] = []
+        self._gensinv: list[list[tuple[int, ...]]] = []
         self._trinv: list[dict[int, tuple[int, ...]]] = []
         self._orbits: list[list[int]] = []
         # _tested[i][k]: how many orbit points of level i have had their
@@ -440,28 +444,34 @@ class StabilizerChain:
         point = next(i for i, x in enumerate(moving) if x != i)
         self._points.append(point)
         self._gens.append([])
-        self._tr.append({point: self._identity})
+        self._gensinv.append([])
         self._trinv.append({point: self._identity})
         self._orbits.append([point])
         self._tested.append([])
 
     def _add_generator(self, g: tuple[int, ...], first: int, last: int) -> None:
         # append g to levels first..last and grow their orbits in place:
-        # old points are moved by g alone, new points by every generator
+        # old points are moved by g alone, new points by every generator.
+        # u_y = u_x h, so v_y = h^-1 v_x.
+        ginv = _invert(g)
         for i in range(first, last + 1):
-            gens, orbit, tr, trinv = self._gens[i], self._orbits[i], self._tr[i], self._trinv[i]
+            gens, gensinv, orbit, trinv = (
+                self._gens[i], self._gensinv[i], self._orbits[i], self._trinv[i]
+            )
             gens.append(g)
+            gensinv.append(ginv)
             self._tested[i].append(0)
+            if all(map(trinv.__contains__, map(g.__getitem__, orbit))):
+                continue  # g maps the orbit into itself
             old = len(orbit)
             k = 0
             while k < len(orbit):
                 x = orbit[k]
-                for h in gens if k >= old else (g,):
+                pairs = zip(gens, gensinv) if k >= old else ((g, ginv),)
+                for h, hinv in pairs:
                     y = h[x]
-                    if y not in tr:
-                        v = _compose(tr[x], h)
-                        tr[y] = v
-                        trinv[y] = _invert(v)
+                    if y not in trinv:
+                        trinv[y] = _compose(hinv, trinv[x])
                         orbit.append(y)
                 k += 1
 
@@ -477,30 +487,52 @@ class StabilizerChain:
     def _close_level(self, i: int) -> int:
         # sift level i's untested Schreier generators, point by point, while
         # every deeper level has sifted all of its own; a nontrivial residue
-        # joins levels i+1..j and the build resumes at j, else it moves up
-        orbit, tr, trinv, gens, tested = (
-            self._orbits[i], self._tr[i], self._trinv[i], self._gens[i], self._tested[i]
+        # joins levels i+1..j and the build resumes at j, else it moves up.
+        # The Schreier generator u_x g v_y is trivial exactly when
+        # g v_y = v_x; only a nontrivial one needs u_x, inverted once.
+        orbit, trinv, gens, tested = (
+            self._orbits[i], self._trinv[i], self._gens[i], self._tested[i]
         )
         while True:
             pos = min(tested)
             if pos == len(orbit):
                 return i - 1
             x = orbit[pos]
+            vx, ux = trinv[x], None
             for k, g in enumerate(gens):
                 if tested[k] != pos:
                     continue
                 tested[k] += 1
-                y = g[x]
-                ug = _compose(tr[x], g)
-                if ug == tr[y]:
+                gvy = _compose(g, trinv[g[x]])
+                if gvy == vx:
                     continue
-                residue, j = self._sift(_compose(ug, trinv[y]), i + 1)
+                ux = ux or _invert(vx)
+                residue, j = self._sift(_compose(ux, gvy), i + 1)
                 if residue == self._identity:
                     continue
                 if j == len(self._points):
                     self._add_level(residue)
                 self._add_generator(residue, i + 1, j)
                 return j
+
+
+class _Transversal(Mapping):
+    """One level of :attr:`StabilizerChain.transversals`: the stored
+    inverses v_x, each inverted when it is read."""
+
+    __slots__ = ("_trinv",)
+
+    def __init__(self, trinv: dict[int, tuple[int, ...]]):
+        self._trinv = trinv
+
+    def __getitem__(self, x: int) -> Permutation:
+        return _wrap(_invert(self._trinv[x]))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._trinv)
+
+    def __len__(self) -> int:
+        return len(self._trinv)
 
 
 def _resolve_engine(engine: str, generators) -> tuple[str, int | None]:

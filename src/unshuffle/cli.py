@@ -104,7 +104,8 @@ def _cmd_perm(args):
 
 def _cmd_order(args):
     step = _parse_step(args.symbol)
-    if step.letter in ("L", "R") and not step.inverted:
+    if step.letter in ("L", "R"):
+        # an inverse has the same order, so L' and R' use the closed form too
         order = shuffle_order(step.letter, args.deck)
     else:
         order = shuffle_permutation(step, args.deck).order()

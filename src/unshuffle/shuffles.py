@@ -10,8 +10,13 @@ Positions run 0..2n-1 with 0 the top card.  With n = deck_size // 2:
 
 L and R deal the deck alternately into two piles (top card starts the left
 pile) and stack the named pile on top; I and O cut exactly in half and
-interlace perfectly.  The closed forms are checked against the literal
-dealing simulation in the tests, which is why both constructions live here.
+interlace perfectly.  Each closed form is one or two arithmetic
+progressions, so every image and every inverse is built in C from
+``range`` slices and nothing is cached: L' and R' are the two dealt piles,
+stacked, and I' and O' interlace the two halves.  The tests check each
+image against the closed forms, each inverse against the inverted image,
+and L' and R' against the literal dealing simulation, which is why both
+constructions live here.
 
 Words are read left to right in performance order: "RL'" means do R, then
 the inverse of L.
@@ -22,7 +27,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .perm import Permutation, _compose, _invert, _wrap
 
@@ -97,26 +101,37 @@ def check_deck_size(deck_size: int) -> int:
     return deck_size
 
 
-@lru_cache(maxsize=64)
-def _images(letter: str, deck_size: int) -> tuple[int, ...]:
-    n = deck_size // 2
-    last = deck_size - 1
-    if letter == "L":
-        m = deck_size + 1
-        return tuple((n * i + n - 1) % m for i in range(deck_size))
-    if letter == "R":
-        # the i = 0 exception is genuine: (n-1)*0 is 0, not 2n-1
-        m = deck_size - 1
-        return (last,) + tuple(((n - 1) * i) % m for i in range(1, deck_size))
-    if letter == "I":
-        m = deck_size + 1
-        return tuple((2 * i + 1) % m for i in range(deck_size))
-    if letter == "O":
-        m = deck_size - 1
-        return tuple((2 * i) % m for i in range(last)) + (last,)
+def _images(letter: str, deck_size: int, inverted: bool = False) -> tuple[int, ...]:
+    # two progressions, interleaved (a[0], b[0], a[1], ...) or stacked
+    # (a, then b); inverting a shuffle swaps the two forms
+    d = deck_size
+    n = d // 2
     if letter == "V":
-        return tuple(last - i for i in range(deck_size))
+        return tuple(range(d - 1, -1, -1))
+    if letter == "L":
+        if inverted:
+            return (*range(d - 2, -1, -2), *range(d - 1, 0, -2))
+        return _interleave(range(n - 1, -1, -1), range(d - 1, n - 1, -1))
+    if letter == "R":
+        if inverted:
+            return (*range(d - 1, 0, -2), *range(d - 2, -1, -2))
+        return _interleave(range(d - 1, n - 1, -1), range(n - 1, -1, -1))
+    if letter == "I":
+        if inverted:
+            return _interleave(range(n, d), range(n))
+        return (*range(1, d, 2), *range(0, d, 2))
+    if letter == "O":
+        if inverted:
+            return _interleave(range(n), range(n, d))
+        return (*range(0, d, 2), *range(1, d, 2))
     raise ValueError(f"unknown shuffle letter {letter!r}")
+
+
+def _interleave(a: range, b: range) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b))
+    out[::2] = a
+    out[1::2] = b
+    return tuple(out)
 
 
 def shuffle_permutation(step, deck_size: int) -> Permutation:
@@ -124,8 +139,7 @@ def shuffle_permutation(step, deck_size: int) -> Permutation:
     check_deck_size(deck_size)
     if isinstance(step, str):
         step = Step(step)
-    p = _wrap(_images(step.letter, deck_size))
-    return p.inverse() if step.inverted else p
+    return _wrap(_images(step.letter, deck_size, step.inverted))
 
 
 def deal_permutation(top_pile: str, deck_size: int) -> Permutation:
@@ -158,8 +172,7 @@ def walk_word(word, deck_size: int) -> Iterator[Permutation]:
     current = tuple(range(deck_size))
     yield _wrap(current)
     for step in as_word(word):
-        g = _images(step.letter, deck_size)
-        current = _compose(current, _invert(g) if step.inverted else g)
+        current = _compose(current, _images(step.letter, deck_size, step.inverted))
         yield _wrap(current)
 
 

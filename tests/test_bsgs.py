@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,37 @@ class TestShuffleChainInvariants:
     def test_strong_generators_rebuild_same_order(self, family, size):
         chain = shuffle_chain(family, size)
         assert StabilizerChain(chain.strong_generators).order == chain.order
+
+
+class TestPinnedShuffleChains:
+    # The 2n = 52 chains that criterion 13 and the benchmark's exact counts
+    # rely on; a change to the build that alters them shows here first.
+    BASES = {
+        "unshuffle": (*range(14), 15, 14, 16, 17, 18, 19, 22, 20, 21, 23, 24, 25),
+        "perfect": tuple(range(26)),
+    }
+    STRONG_GENERATORS = {"unshuffle": 41, "perfect": 40}
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_chain_at_52(self, family):
+        chain = shuffle_chain(family, 52)
+        assert chain.base == self.BASES[family]
+        assert len(chain.strong_generators) == self.STRONG_GENERATORS[family]
+        assert [len(tr) for tr in chain.transversals] == list(range(52, 0, -2))
+        assert chain.order == math.factorial(26) * 2**26
+
+    def test_memory_at_100(self):
+        # one stored 100-tuple per orbit point keeps about 2.4 MB; a
+        # representative and its inverse per point would keep 4.5 MB
+        gens = family_generators("perfect", 100)
+        tracemalloc.start()
+        try:
+            chain = StabilizerChain(gens)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert chain.order == predict_group("perfect", 100).order
+        assert kept <= 3_000_000
 
 
 # even sizes in [4, 80] whose shuffle groups are smaller than their order

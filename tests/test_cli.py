@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from unshuffle import groups
 from unshuffle.cli import main
+from unshuffle.shuffles import Step, shuffle_permutation
 
 
 class TestShuffle:
@@ -106,6 +107,12 @@ class TestOrder:
         assert run_cli("order", "--deck", 8, "--symbol", "I")[1] == "6\n"
         assert run_cli("order", "--deck", 8, "--symbol", "V")[1] == "2\n"
         assert run_cli("order", "--deck", 52, "--symbol", "L'")[1] == "52\n"
+
+    @pytest.mark.parametrize("symbol", ["L'", "R'"])
+    def test_inverse_unshuffles_use_closed_form(self, run_cli, symbol):
+        for size in range(2, 201, 2):
+            expected = shuffle_permutation(Step(symbol[0], inverted=True), size).order()
+            assert run_cli("order", "--deck", size, "--symbol", symbol)[1] == f"{expected}\n"
 
     def test_json(self, run_cli):
         _, out, _ = run_cli("order", "--deck", 52, "--symbol", "R", "--format", "json")

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.perm import Permutation
+from unshuffle.perm import Permutation, _invert
 from unshuffle.shuffles import (
     LETTERS,
     MAX_DECK,
@@ -93,6 +94,69 @@ class TestSingleShuffles:
     def test_deal_permutation_validates(self):
         with pytest.raises(ValueError):
             deal_permutation("middle", 6)
+
+
+def closed_form(letter, size):
+    """The modular closed forms of the module docstring, point by point."""
+    n = size // 2
+    forms = {
+        "L": lambda i: (n * i + n - 1) % (size + 1),
+        "R": lambda i: size - 1 if i == 0 else (n - 1) * i % (size - 1),
+        "I": lambda i: (2 * i + 1) % (size + 1),
+        "O": lambda i: size - 1 if i == size - 1 else 2 * i % (size - 1),
+        "V": lambda i: size - 1 - i,
+    }
+    return tuple(map(forms[letter], range(size)))
+
+
+def dealt_piles(size):
+    """Deal a sorted deck card by card, the top card to the left pile,
+    each card landing on top of its pile; each pile listed top to bottom."""
+    left, right = [], []
+    for card in range(size):
+        (left if card % 2 == 0 else right).insert(0, card)
+    return left, right
+
+
+ALL_SIZES = range(2, 1001, 2)
+
+
+class TestImages:
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_forward_images_are_the_closed_forms(self, letter):
+        for size in ALL_SIZES:
+            assert shuffle_permutation(letter, size).image == closed_form(letter, size), size
+
+    @pytest.mark.parametrize("letter", sorted(LETTERS))
+    def test_inverted_images_invert_the_forward_ones(self, letter):
+        for size in ALL_SIZES:
+            inverse = shuffle_permutation(Step(letter, inverted=True), size).image
+            assert inverse == _invert(shuffle_permutation(letter, size).image), size
+
+    def test_inverse_unshuffles_stack_the_dealt_piles(self):
+        # the stacked deck listing is the arrangement, which is the inverse
+        # image map that deal_permutation inverts
+        for size in ALL_SIZES:
+            left, right = dealt_piles(size)
+            inverse_left = shuffle_permutation(Step("L", inverted=True), size)
+            inverse_right = shuffle_permutation(Step("R", inverted=True), size)
+            assert inverse_left.image == tuple(left + right), size
+            assert inverse_right.image == tuple(right + left), size
+            assert inverse_left == deal_permutation("left", size).inverse()
+            assert inverse_right == deal_permutation("right", size).inverse()
+
+    def test_no_image_is_kept(self):
+        # a cache of images at this size would keep about 0.6 MB per entry
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(20):
+                step = Step(LETTERS[k % 5], inverted=k % 2 == 1)
+                shuffle_permutation(step, (1 << 14) + 2 * k)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestDeckSizeValidation:
