@@ -33,11 +33,8 @@ proves the order without either:
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
 
-Every ``engine="auto"`` in the package (:func:`group_order`,
-:func:`unshuffle.groups.verify_deck_size`, the command line) means the
-certificate, and the chain where the certificate gives None; see
-:func:`_resolve_engine`.  ``schreier`` forces the chain, and BFS runs only
-when asked for by name, as the independent check.
+The package's one engine policy, which picks among the three and runs the
+one it picks, is :func:`unshuffle.groups.compute_order`.
 
 Internally permutations are raw image tuples, composed ("left then right")
 and inverted by the kernels of :mod:`unshuffle.perm`, which the chain's
@@ -51,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 
 from .perm import Permutation, _compose, _invert, _wrap
 
@@ -71,7 +68,8 @@ _CERTIFICATE_SAMPLES = 100
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """BFS closure grew past the element cap; use a StabilizerChain instead."""
+    """BFS cannot enumerate the group: it has more elements than the cap,
+    or more than ``BFS_MAX_DEGREE`` points; use a StabilizerChain instead."""
 
 
 def _raw(p) -> tuple[int, ...]:
@@ -123,13 +121,14 @@ class Closure:
 def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
     """Enumerate every element of the group the generators produce.
 
-    Raises :class:`EnumerationCapExceeded` as soon as the element count,
-    identity included, passes ``cap``.
+    Raises :class:`EnumerationCapExceeded` past ``BFS_MAX_DEGREE`` points,
+    and as soon as the element count, identity included, passes ``cap``.
     """
     raws, degree, identity = _normalize(generators)
     if degree > BFS_MAX_DEGREE:
-        raise ValueError(
-            f"bfs_enumerate packs images into bytes; degree must be <= {BFS_MAX_DEGREE}"
+        raise EnumerationCapExceeded(
+            f"bfs_enumerate packs images into bytes, so it takes at most "
+            f"{BFS_MAX_DEGREE} points, not {degree}; use the schreier engine"
         )
     if cap < 1:
         raise _cap_exceeded(cap)
@@ -533,34 +532,3 @@ class _Transversal(Mapping):
 
     def __len__(self) -> int:
         return len(self._trinv)
-
-
-def _resolve_engine(engine: str, generators) -> tuple[str, int | None]:
-    """The package's one engine policy: the engine that answers and, when
-    that is the certificate, the order it proved.
-
-    ``auto`` means :func:`_certified_order`, and the stabilizer chain when
-    that gives None; ``schreier`` means the chain and ``bfs`` BFS.  The
-    caller builds the chain or runs BFS itself.
-    """
-    if engine == "auto":
-        order = _certified_order(generators)
-        return ("schreier", None) if order is None else ("certificate", order)
-    if engine in ("bfs", "schreier"):
-        return engine, None
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
-    """Order of the generated group by the requested engine.
-
-    ``auto`` answers with the certificate where a witness proves the order
-    bound, and with a stabilizer chain elsewhere; both are exact at any
-    scale.  Ask for ``schreier`` to force the chain, or for ``bfs`` when
-    you want the same number from the independent engine (it raises
-    :class:`EnumerationCapExceeded` past the cap).
-    """
-    chosen, order = _resolve_engine(engine, generators)
-    if chosen == "bfs":
-        return bfs_enumerate(generators, cap).order
-    return order or StabilizerChain(generators).order

@@ -10,16 +10,13 @@ import argparse
 import json
 import sys
 
-from .bsgs import (
-    DEFAULT_CAP,
-    EnumerationCapExceeded,
-    StabilizerChain,
-    _resolve_engine,
-    bfs_enumerate,
-)
+# bfs_enumerate is not called here, but perfbench/tracing.py rebinds it in
+# this module, so the name must stay bound
+from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enumerate  # noqa: F401
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
+    compute_order,
     decimal_text,
     family_generators,
     power_of_two_exponent,
@@ -104,11 +101,8 @@ def _cmd_perm(args):
 
 def _cmd_order(args):
     step = _parse_step(args.symbol)
-    if step.letter in ("L", "R"):
-        # an inverse has the same order, so L' and R' use the closed form too
-        order = shuffle_order(step.letter, args.deck)
-    else:
-        order = shuffle_permutation(step, args.deck).order()
+    # an inverse has the same order, so every symbol uses the closed form
+    order = shuffle_order(step.letter, args.deck)
     return OK, {"deck": args.deck, "symbol": str(step), "order": order}, [str(order)]
 
 
@@ -135,11 +129,7 @@ def _cmd_elmsley(args):
 
 def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
-    engine_used, order = _resolve_engine(args.engine, gens)
-    if engine_used == "bfs":
-        order = bfs_enumerate(gens, args.cap).order
-    elif engine_used == "schreier":
-        order = StabilizerChain(gens).order
+    engine_used, order = compute_order(gens, args.engine, args.cap)
     order = decimal_text(order)
     payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
     return OK, payload, [order]

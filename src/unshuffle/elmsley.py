@@ -20,9 +20,9 @@ forms.
 
 from __future__ import annotations
 
-from .shuffles import Step, Word, check_deck_size
+from .shuffles import MAX_DECK, Step, Word, check_deck_size
 
-MAX_LOG_DECK = 20
+MAX_LOG_DECK = MAX_DECK.bit_length() - 1
 
 
 def index_bits(value: int, width: int) -> tuple[int, ...]:

@@ -5,12 +5,12 @@ shuffles ``<I, O>``.  For every even deck size the exact order of each
 group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
 reports whether theory and computation agree.  The recomputation proves
-the order with the giant-image certificate of
-:func:`unshuffle.bsgs._certified_order` where a witness turns up, and
-builds a certified stabilizer chain elsewhere (2n <= 16, 24 and 2^k) or
-when the chain is asked for by name; BFS enumeration, the independent
-engine, also runs only when asked for.  The prediction never picks the
-engine.
+the order through :func:`compute_order`, the package's one engine policy:
+the giant-image certificate of :func:`unshuffle.bsgs._certified_order`
+where a witness turns up, and a certified stabilizer chain elsewhere
+(2n <= 16, 24 and 2^k) or when the chain is asked for by name; BFS
+enumeration, the independent engine, also runs only when asked for.  The
+prediction never picks the engine.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -24,17 +24,18 @@ otherwise (for n > 1, n not a power of two, n not 6 or 12).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 from typing import NamedTuple
 
+# compute_order looks StabilizerChain and bfs_enumerate up in this module,
+# where perfbench/tracing.py rebinds them
 from .bsgs import (
-    BFS_MAX_DEGREE,
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
     _certified_order,
-    _resolve_engine,
     bfs_enumerate,
 )
 from .perm import Permutation
@@ -57,6 +58,38 @@ def family_generators(family: str, deck_size: int) -> tuple[Permutation, Permuta
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     a, b = FAMILIES[family]
     return shuffle_permutation(a, deck_size), shuffle_permutation(b, deck_size)
+
+
+def compute_order(
+    generators: Sequence, engine: str = "auto", cap: int = DEFAULT_CAP
+) -> tuple[str, int]:
+    """The package's one engine policy: the engine that answered and the
+    exact order of the generated group.
+
+    Every ``engine="auto"`` in the package (:func:`group_order`,
+    :func:`verify_deck_size`, :func:`pair_kernel_order`, the command line)
+    means :func:`unshuffle.bsgs._certified_order`, and the stabilizer chain
+    where the certificate gives None; both are exact at any scale.
+    ``schreier`` forces the chain, and ``bfs`` runs the enumeration, the
+    independent check, which raises :class:`EnumerationCapExceeded` past
+    ``cap`` elements or 255 points.  Any other engine is a ValueError.
+    """
+    if engine == "auto":
+        order = _certified_order(generators)
+        if order is not None:
+            return "certificate", order
+        engine = "schreier"
+    if engine == "schreier":
+        return engine, StabilizerChain(generators).order
+    if engine == "bfs":
+        return engine, bfs_enumerate(generators, cap).order
+    raise ValueError(f"unknown engine {engine!r}")
+
+
+def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
+    """Order of the generated group by the requested engine; see
+    :func:`compute_order`."""
+    return compute_order(generators, engine, cap)[1]
 
 
 def power_of_two_exponent(m: int) -> int | None:
@@ -157,30 +190,22 @@ def pair_kernel_order(generators, group_order: int | None = None) -> int:
     """Order of the kernel of the pair action on the generated group.
 
     Computed as |G| / |image| by the first isomorphism theorem.  Each
-    order comes from the giant-image certificate, or from a stabilizer
-    chain where the certificate gives none (the image at n < 8, for
-    example); pass ``group_order`` if |G| is already known.
+    order comes from :func:`compute_order`'s ``auto``: the giant-image
+    certificate, or a stabilizer chain where the certificate gives none
+    (the image at n < 8, for example); pass ``group_order`` if |G| is
+    already known.
     """
     gens = list(generators)
     if group_order is None:
-        group_order = _certified_order(gens) or StabilizerChain(gens).order
+        group_order = compute_order(gens)[1]
     images = [g.pair_permutation() for g in gens]
-    image_order = _certified_order(images) or StabilizerChain(images).order
+    image_order = compute_order(images)[1]
     if group_order % image_order:
         raise ValueError("group order is not divisible by pair-image order")
     return group_order // image_order
 
 
 # --- classic generator words over the perfect shuffles ---
-
-
-def _split_power_of_two(deck_size: int) -> tuple[int, int]:
-    k = 0
-    v = deck_size
-    while v % 2 == 0:
-        v //= 2
-        k += 1
-    return k, v
 
 
 def diaconis_words(
@@ -203,7 +228,7 @@ def diaconis_words(
         if deck_size is None:
             raise ValueError("need a deck size or an explicit k")
         check_deck_size(deck_size)
-        k, _ = _split_power_of_two(deck_size)
+        k = (deck_size & -deck_size).bit_length() - 1
     if k < 1:
         raise ValueError("k must be a positive integer")
     if r_values is None:
@@ -325,26 +350,19 @@ def verify_deck_size(
 ) -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
-    ``auto`` proves the order with the giant-image certificate where it
-    can (``engine_used`` "certificate") and builds a stabilizer chain
-    elsewhere; ``schreier`` always builds the chain, whose order is exact
-    by construction; ``bfs`` enumerates every element instead, the engine
-    independent of both.  The prediction only supplies the expected
-    value, never the engine.  A forced ``bfs`` run that blows the
-    cap or the byte limit (more than ``BFS_MAX_DEGREE`` cards) yields a
-    record with no computed order and ``match`` false rather than an
-    exception, so a sweep over many deck sizes degrades per record.
+    The engine is :func:`compute_order`'s; ``engine_used`` names the one
+    that answered.  The prediction only supplies the expected value, never
+    the engine.  A forced ``bfs`` run that blows the cap or the byte limit
+    (more than 255 cards) yields a record with no computed order and
+    ``match`` false rather than an exception, so a sweep over many deck
+    sizes degrades per record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    chosen, computed = _resolve_engine(engine, gens)
-    if chosen == "schreier":
-        computed = StabilizerChain(gens).order
-    elif chosen == "bfs" and deck_size <= BFS_MAX_DEGREE:
-        try:
-            computed = bfs_enumerate(gens, cap).order
-        except EnumerationCapExceeded:
-            pass
+    try:
+        engine_used, computed = compute_order(gens, engine, cap)
+    except EnumerationCapExceeded:
+        engine_used, computed = engine, None
 
     n = deck_size // 2
     kernel_computed = kernel_predicted = None
@@ -355,7 +373,7 @@ def verify_deck_size(
     return VerificationRecord(
         two_n=deck_size,
         family=family,
-        engine_used=chosen,
+        engine_used=engine_used,
         computed_order=computed,
         predicted_order=prediction.order,
         predicted_order_factored=prediction.order_factored,

@@ -169,10 +169,11 @@ def walk_word(word, deck_size: int) -> Iterator[Permutation]:
     permutation performed so far after each step.  The deck size is
     checked before the first state is yielded."""
     check_deck_size(deck_size)
-    current = tuple(range(deck_size))
-    yield _wrap(current)
+    yield _wrap(tuple(range(deck_size)))
+    current = None
     for step in as_word(word):
-        current = _compose(current, _images(step.letter, deck_size, step.inverted))
+        image = _images(step.letter, deck_size, step.inverted)
+        current = image if current is None else _compose(current, image)
         yield _wrap(current)
 
 
@@ -198,21 +199,24 @@ def multiplicative_order(value: int, modulus: int) -> int:
 
 
 def shuffle_order(letter: str, deck_size: int) -> int:
-    """Order of the left or right shuffle from modular arithmetic alone.
+    """Order of one of the five shuffles from modular arithmetic alone.
 
-    ord(L) = ord(-2 mod 2n+1).  With r = ord(-2 mod 2n-1), ord(R) is r when
-    r is even and 2r when r is odd.  The two-card deck is handled directly
-    (R is the swap, modulus 1 carries no information).
+    ord(L) = ord(-2 mod 2n+1) and ord(I) = ord(2 mod 2n+1).  With
+    r = ord(-2 mod 2n-1), ord(R) is r when r is even and 2r when r is odd.
+    ord(O) = ord(2 mod 2n-1), since O fixes the bottom card, and
+    ord(V) = 2.  The two-card deck is handled directly (R is the swap and
+    O the identity; modulus 1 carries no information).
     """
     check_deck_size(deck_size)
-    if letter == "L":
-        return multiplicative_order(-2, deck_size + 1)
+    if letter in ("L", "I"):
+        return multiplicative_order(-2 if letter == "L" else 2, deck_size + 1)
     if letter == "R":
         if deck_size == 2:
             return 2
         r = multiplicative_order(-2, deck_size - 1)
         return r if r % 2 == 0 else 2 * r
-    raise ValueError(
-        f"closed-form order is defined for 'L' and 'R' only, got {letter!r}; "
-        "use Permutation.order() for the others"
-    )
+    if letter == "O":
+        return 1 if deck_size == 2 else multiplicative_order(2, deck_size - 1)
+    if letter == "V":
+        return 2
+    raise ValueError(f"unknown shuffle letter {letter!r}")

@@ -16,9 +16,14 @@ from unshuffle.bsgs import (
     _certified_order,
     _order_bound,
     bfs_enumerate,
-    group_order,
 )
-from unshuffle.groups import FAMILIES, family_generators, power_of_two_exponent, predict_group
+from unshuffle.groups import (
+    FAMILIES,
+    family_generators,
+    group_order,
+    power_of_two_exponent,
+    predict_group,
+)
 from unshuffle.perm import Permutation, random_centrally_symmetric
 from unshuffle.shuffles import shuffle_permutation, word_permutation
 
@@ -143,7 +148,7 @@ class TestBfs:
 
     def test_degree_limit(self):
         big = Permutation(list(range(1, 256)) + [0])
-        with pytest.raises(ValueError):
+        with pytest.raises(EnumerationCapExceeded):
             bfs_enumerate([big])
 
     def test_mixed_degrees_rejected(self):

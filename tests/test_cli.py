@@ -108,7 +108,7 @@ class TestOrder:
         assert run_cli("order", "--deck", 8, "--symbol", "V")[1] == "2\n"
         assert run_cli("order", "--deck", 52, "--symbol", "L'")[1] == "52\n"
 
-    @pytest.mark.parametrize("symbol", ["L'", "R'"])
+    @pytest.mark.parametrize("symbol", ["L'", "R'", "I'", "O'", "V'"])
     def test_inverse_unshuffles_use_closed_form(self, run_cli, symbol):
         for size in range(2, 201, 2):
             expected = shuffle_permutation(Step(symbol[0], inverted=True), size).order()
@@ -246,6 +246,27 @@ class TestGroupOrder:
 
     def test_unknown_engine_is_usage_error(self, run_cli):
         assert run_cli("group-order", "--deck", 6, "--engine", "magic")[0] == 2
+
+    def test_bfs_past_byte_limit_is_infeasible(self, run_cli):
+        # the same condition verify reports with exit 3
+        code, out, err = run_cli("group-order", "--deck", 300, "--engine", "bfs")
+        assert (code, out) == (3, "")
+        assert "error:" in err
+
+    @pytest.mark.parametrize("engine", ["auto", "schreier"])
+    @pytest.mark.parametrize("gens, family", [("LR", "unshuffle"), ("IO", "perfect")])
+    def test_agrees_with_verify_record(self, run_cli, engine, gens, family):
+        # group-order, verify and compute_order share one engine policy
+        for size in range(2, 41, 2):
+            _, out, _ = run_cli(
+                "group-order", "--deck", size, "--gens", gens, "--engine", engine,
+                "--format", "json",
+            )
+            payload = json.loads(out)
+            record = groups.verify_deck_size(size, family, engine=engine)
+            expected = groups.compute_order(groups.family_generators(family, size), engine)
+            assert (payload["engine_used"], int(payload["order"])) == expected, size
+            assert (record.engine_used, record.computed_order) == expected, size
 
 
 class TestGroupPredict:

@@ -289,9 +289,9 @@ class TestOrders:
 
     @pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 12, 14, 16, 52, 104, 500])
     def test_formula_matches_cycle_structure(self, size):
-        for letter in "LR":
+        for letter in "LRIOV":
             assert shuffle_order(letter, size) == shuffle_permutation(letter, size).order()
 
     def test_rejects_other_letters(self):
         with pytest.raises(ValueError):
-            shuffle_order("I", 8)
+            shuffle_order("X", 8)
