@@ -358,27 +358,24 @@ class StabilizerChain:
         self._start(raws)
         if raws and not self._random_fill(raws, _order_bound(raws)):
             self._start(raws)
-            i = len(self._points) - 1
+            i = len(self._levels) - 1
             while i >= 0:
                 i = self._close_level(i)
-        self.base: tuple[int, ...] = tuple(self._points)
-        self.order: int = self._orbit_product()
+        self.base: tuple[int, ...] = tuple(level.point for level in self._levels)
+        self.order: int = math.prod(map(len, self._levels))
 
     # --- public views ---
 
     @property
     def strong_generators(self) -> tuple[Permutation, ...]:
-        seen: dict[tuple[int, ...], None] = {}
-        for level in self._gens:
-            for g in level:
-                seen.setdefault(g)
-        return tuple(_wrap(g) for g in seen)
+        seen = dict.fromkeys(g for level in self._levels for g in level.gens)
+        return tuple(map(_wrap, seen))
 
     @property
     def transversals(self) -> tuple[Mapping[int, Permutation], ...]:
         """Per level, orbit point x -> the coset representative mapping the
         base point to x, inverted from the stored v_x when it is read."""
-        return tuple(_Transversal(trinv) for trinv in self._trinv)
+        return tuple(self._levels)
 
     def contains(self, p) -> bool:
         raw = _raw(p)
@@ -401,32 +398,22 @@ class StabilizerChain:
 
     def _start(self, raws: list[tuple[int, ...]]) -> None:
         # an empty chain, then the generators on the levels they need
-        self._points: list[int] = []
-        self._gens: list[list[tuple[int, ...]]] = []
-        self._gensinv: list[list[tuple[int, ...]]] = []
-        self._trinv: list[dict[int, tuple[int, ...]]] = []
-        self._orbits: list[list[int]] = []
-        # _tested[i][k]: how many orbit points of level i have had their
-        # Schreier generator with _gens[i][k] sifted
-        self._tested: list[list[int]] = []
+        self._levels: list[_Level] = []
         for g in raws:
-            if all(g[b] == b for b in self._points):
-                self._add_level(g)
+            if all(g[level.point] == level.point for level in self._levels):
+                self._levels.append(_Level(g, self._identity))
         for g in raws:
             # every generator moves some base point; it belongs to the
             # levels up to and including the first one it moves
-            last = next(i for i, b in enumerate(self._points) if g[b] != b)
+            last = next(i for i, level in enumerate(self._levels) if g[level.point] != level.point)
             self._add_generator(g, 0, last)
-
-    def _orbit_product(self) -> int:
-        return math.prod(map(len, self._orbits))
 
     def _random_fill(self, raws: list[tuple[int, ...]], bound: int) -> bool:
         # sift random elements until the orbit sizes multiply to the bound;
         # False if _TRIVIAL_SIFTS sifts in a row were trivial before that
         elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
         trivial = 0
-        while self._orbit_product() < bound:
+        while math.prod(map(len, self._levels)) < bound:
             if trivial == _TRIVIAL_SIFTS:
                 return False
             residue, j = self._sift(next(elements), 0)
@@ -434,32 +421,22 @@ class StabilizerChain:
                 trivial += 1
                 continue
             trivial = 0
-            if j == len(self._points):
-                self._add_level(residue)
             self._add_generator(residue, 0, j)
         return True
 
-    def _add_level(self, moving: tuple[int, ...]) -> None:
-        point = next(i for i, x in enumerate(moving) if x != i)
-        self._points.append(point)
-        self._gens.append([])
-        self._gensinv.append([])
-        self._trinv.append({point: self._identity})
-        self._orbits.append([point])
-        self._tested.append([])
-
     def _add_generator(self, g: tuple[int, ...], first: int, last: int) -> None:
-        # append g to levels first..last and grow their orbits in place:
-        # old points are moved by g alone, new points by every generator.
+        # append g to levels first..last, opening level last if the chain
+        # ends before it, and grow their orbits in place: old points are
+        # moved by g alone, new points by every generator.
         # u_y = u_x h, so v_y = h^-1 v_x.
+        if last == len(self._levels):
+            self._levels.append(_Level(g, self._identity))
         ginv = _invert(g)
-        for i in range(first, last + 1):
-            gens, gensinv, orbit, trinv = (
-                self._gens[i], self._gensinv[i], self._orbits[i], self._trinv[i]
-            )
+        for level in self._levels[first : last + 1]:
+            gens, gensinv, orbit, trinv = level.gens, level.gensinv, level.orbit, level.trinv
             gens.append(g)
             gensinv.append(ginv)
-            self._tested[i].append(0)
+            level.tested.append(0)
             if all(map(trinv.__contains__, map(g.__getitem__, orbit))):
                 continue  # g maps the orbit into itself
             old = len(orbit)
@@ -475,13 +452,14 @@ class StabilizerChain:
                 k += 1
 
     def _sift(self, p: tuple[int, ...], start: int):
-        for i in range(start, len(self._points)):
-            x = p[self._points[i]]
-            uinv = self._trinv[i].get(x)
+        levels = self._levels
+        for i in range(start, len(levels)):
+            level = levels[i]
+            uinv = level.trinv.get(p[level.point])
             if uinv is None:
                 return p, i
             p = _compose(p, uinv)
-        return p, len(self._points)
+        return p, len(levels)
 
     def _close_level(self, i: int) -> int:
         # sift level i's untested Schreier generators, point by point, while
@@ -489,9 +467,8 @@ class StabilizerChain:
         # joins levels i+1..j and the build resumes at j, else it moves up.
         # The Schreier generator u_x g v_y is trivial exactly when
         # g v_y = v_x; only a nontrivial one needs u_x, inverted once.
-        orbit, trinv, gens, tested = (
-            self._orbits[i], self._trinv[i], self._gens[i], self._tested[i]
-        )
+        level = self._levels[i]
+        orbit, trinv, gens, tested = level.orbit, level.trinv, level.gens, level.tested
         while True:
             pos = min(tested)
             if pos == len(orbit):
@@ -509,26 +486,32 @@ class StabilizerChain:
                 residue, j = self._sift(_compose(ux, gvy), i + 1)
                 if residue == self._identity:
                     continue
-                if j == len(self._points):
-                    self._add_level(residue)
                 self._add_generator(residue, i + 1, j)
                 return j
 
 
-class _Transversal(Mapping):
-    """One level of :attr:`StabilizerChain.transversals`: the stored
-    inverses v_x, each inverted when it is read."""
+class _Level(Mapping):
+    """One level of a :class:`StabilizerChain`, laid out as its docstring
+    says; tested[k] counts the orbit points whose Schreier generator with
+    gens[k] has been sifted.  As a Mapping it is the level's transversal:
+    orbit point x -> u_x, inverted from v_x when it is read."""
 
-    __slots__ = ("_trinv",)
+    __slots__ = ("point", "gens", "gensinv", "orbit", "trinv", "tested")
 
-    def __init__(self, trinv: dict[int, tuple[int, ...]]):
-        self._trinv = trinv
+    def __init__(self, moving: tuple[int, ...], identity: tuple[int, ...]):
+        # the base point is the smallest point that moving moves
+        self.point = next(i for i, x in enumerate(moving) if x != i)
+        self.gens: list[tuple[int, ...]] = []
+        self.gensinv: list[tuple[int, ...]] = []
+        self.orbit = [self.point]
+        self.trinv = {self.point: identity}
+        self.tested: list[int] = []
 
     def __getitem__(self, x: int) -> Permutation:
-        return _wrap(_invert(self._trinv[x]))
+        return _wrap(_invert(self.trinv[x]))
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._trinv)
+        return iter(self.trinv)
 
     def __len__(self) -> int:
-        return len(self._trinv)
+        return len(self.orbit)

@@ -298,14 +298,42 @@ def substitute_unshuffles(word) -> SubstitutionResult:
 def decimal_text(value: int) -> str:
     """The decimal digits of an integer of any size.  ``str`` refuses ints
     longer than ``sys.get_int_max_str_digits()``, 4300 digits by default,
-    which the group orders pass from 2n = 2848 on; ``Decimal`` does not."""
+    which the group orders pass from 2n = 2848 on.  Past that limit the
+    integer is split into high and low bit halves, each converted to an
+    exact ``Decimal`` and recombined as high * 2**half + low, in
+    subquadratic time (CPython 3.12's ``_pylong.int_to_decimal_string``);
+    ``str(Decimal(value))`` is quadratic and took minutes for the
+    2.9-million-digit order at 2n = 1048574."""
     try:
         return str(value)
     except ValueError:
         # imported only when needed: the import alone takes about 2 ms
-        from decimal import Decimal
+        import decimal
 
-        return str(Decimal(value))
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(bits: int) -> decimal.Decimal:
+        # 2**bits, kept: each depth of the split needs at most two of them
+        if bits <= 128:
+            return decimal.Decimal(1 << bits)
+        if bits not in powers:
+            half = bits >> 1
+            powers[bits] = power(half) * power(bits - half)
+        return powers[bits]
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= 128:
+            return decimal.Decimal(v)
+        half = bits >> 1
+        high = v >> half
+        return convert(v - (high << half), half) + convert(high, bits - half) * power(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        digits = str(convert(abs(value), abs(value).bit_length()))
+    return "-" + digits if value < 0 else digits
 
 
 @dataclass(frozen=True)
@@ -350,7 +378,11 @@ def verify_deck_size(
 ) -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
-    The engine is :func:`compute_order`'s; ``engine_used`` names the one
+    ``match`` says that three things agree: the computed order with the
+    predicted one, the computed signs with :func:`parity_row`, and, where
+    the kernel is computed (the unshuffle family wherever
+    :func:`kernel_rule_applies`), its order with the predicted one.  The
+    engine is :func:`compute_order`'s; ``engine_used`` names the one
     that answered.  The prediction only supplies the expected value, never
     the engine.  A forced ``bfs`` run that blows the cap or the byte limit
     (more than 255 cards) yields a record with no computed order and
@@ -370,6 +402,7 @@ def verify_deck_size(
         kernel_computed = pair_kernel_order(gens, group_order=computed)
         kernel_predicted = predicted_kernel_order(n)
 
+    parities = computed_parity_row(deck_size)
     return VerificationRecord(
         two_n=deck_size,
         family=family,
@@ -377,8 +410,12 @@ def verify_deck_size(
         computed_order=computed,
         predicted_order=prediction.order,
         predicted_order_factored=prediction.order_factored,
-        match=computed == prediction.order,
-        parities=computed_parity_row(deck_size),
+        match=(
+            computed == prediction.order
+            and parities == parity_row(n)
+            and kernel_computed == kernel_predicted
+        ),
+        parities=parities,
         kernel_order_computed=kernel_computed,
         kernel_order_predicted=kernel_predicted,
     )

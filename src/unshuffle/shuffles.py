@@ -184,17 +184,34 @@ def word_permutation(word, deck_size: int) -> Permutation:
     return current
 
 
+def _prime_factors(m: int) -> list[int]:
+    # the distinct primes dividing m, by trial division
+    primes, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return primes + [m] if m > 1 else primes
+
+
 def multiplicative_order(value: int, modulus: int) -> int:
-    """Least r >= 1 with value**r = 1 (mod modulus)."""
+    """Least r >= 1 with value**r = 1 (mod modulus).
+
+    The order divides Euler's phi(modulus), so start from phi and divide
+    out each prime q while value**(r/q) is still 1."""
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     a = value % modulus
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"{value} is not a unit mod {modulus}")
-    x, r = a, 1
-    while x != 1:
-        x = x * a % modulus
-        r += 1
+    r = modulus
+    for p in _prime_factors(modulus):
+        r = r // p * (p - 1)
+    for q in _prime_factors(r):
+        while r % q == 0 and pow(a, r // q, modulus) == 1:
+            r //= q
     return r
 
 

@@ -446,6 +446,25 @@ class TestFallback:
         chain._start(raws)
         assert not chain._random_fill(raws, _order_bound(raws))
 
+    @given(st.randoms(use_true_random=False), st.integers(2, 8), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_closure_agrees_with_the_random_phase(self, rng, pairs, count):
+        gens = [random_centrally_symmetric(rng, pairs) for _ in range(count)]
+        chain = StabilizerChain(gens)
+        # the deterministic closure alone, on the same generators
+        closure = StabilizerChain(gens)
+        closure._start([g.image for g in gens if not g.is_identity()])
+        i = len(closure.transversals) - 1
+        while i >= 0:
+            i = closure._close_level(i)
+        assert math.prod(map(len, closure.transversals)) == chain.order
+        identity = Permutation.identity(2 * pairs)
+        members = [math.prod(rng.choices(gens, k=5), start=identity) for _ in range(4)]
+        symmetric = [random_centrally_symmetric(rng, pairs) for _ in range(8)]
+        arbitrary = [Permutation(rng.sample(range(2 * pairs), 2 * pairs)) for _ in range(4)]
+        for p in members + symmetric + arbitrary:
+            assert closure.contains(p) == chain.contains(p)
+
     def test_single_unshuffle(self):
         left = shuffle_permutation("L", 52)
         chain = StabilizerChain([left])

@@ -423,6 +423,31 @@ class TestVerify:
         assert code == 1
         assert [entry["match"] for entry in json.loads(out)] == [True, True, False, True]
 
+    def test_sign_mismatch_exit_code(self, run_cli, monkeypatch):
+        true_row = groups.parity_row
+        monkeypatch.setattr(
+            groups, "parity_row", lambda n: (1, 1, 1, 1) if n == 3 else true_row(n)
+        )
+        code, out, _ = run_cli("verify", "--min", 4, "--max", 6)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "4 records, 2 match"
+        # the signs are the unshuffles', so both families' records at 2n = 6
+        assert [("match=NO" in line) for line in lines[:-1]] == [False, False, True, True]
+        assert "2n=6" in lines[2] and "2n=6" in lines[3]
+
+    def test_kernel_mismatch_exit_code(self, run_cli, monkeypatch):
+        true_kernel = groups.predicted_kernel_order
+        monkeypatch.setattr(
+            groups, "predicted_kernel_order", lambda n: true_kernel(n) * (2 if n == 3 else 1)
+        )
+        code, out, _ = run_cli("verify", "--min", 4, "--max", 6)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-1] == "4 records, 3 match"
+        assert [("match=NO" in line) for line in lines[:-1]] == [False, False, False, True]
+        assert "2n=6 family=unshuffle" in lines[3]
+
 
 # any text, and text from the characters the three grammars use, so that
 # some draws parse

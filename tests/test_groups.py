@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -398,6 +399,18 @@ class TestReports:
         assert len(fields["computed_order"]) > 4300
         assert fields["computed_order"] == fields["predicted_order"]
         assert decimal_text(10**5000) == "1" + "0" * 5000
+
+    def test_decimal_text_past_the_limit_matches_str(self):
+        # below the limit str() answers; above it the split conversion must
+        # give the same digits, which str() gives once the limit is raised
+        values = [10**4299 + 7, 3**9013, -(7**5087), 5**71529 - 1, 2**166096 + 12345]
+        limit = sys.get_int_max_str_digits()
+        texts = [decimal_text(v) for v in values]
+        sys.set_int_max_str_digits(60_000)
+        try:
+            assert texts == [str(v) for v in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_infeasible_serializes_as_null(self):
         record = verify_deck_size(18, "perfect", engine="bfs", cap=100)

@@ -221,10 +221,12 @@ class TestTextForms:
         assert Permutation.from_image_text(" 1,0 ") == Permutation([1, 0])
 
     @pytest.mark.parametrize(
-        "bad", ["", "1,2,x", "0;1", "1 0", "\u0661,0", "\uff11,0", "+1,0", "1_0,0", "1,0\u2003"]
+        "bad",
+        ["", "1,2,x", "0;1", "1 0", "\u0661,0", "\uff11,0", "+1,0", "1_0,0", "1,0\u2003", "0,0"],
     )
     def test_image_text_rejects(self, bad):
-        with pytest.raises(ValueError):
+        # "0,0" parses as numbers but sends both positions to 0
+        with pytest.raises(ValueError, match="bad image text"):
             Permutation.from_image_text(bad)
 
     def test_cycle_text_frozen(self):

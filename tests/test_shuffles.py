@@ -65,6 +65,10 @@ class TestSingleShuffles:
         assert inv == shuffle_permutation("L", 6).inverse()
         assert inv.image == (4, 2, 0, 5, 3, 1)
 
+    def test_step_rejects_other_letters(self):
+        with pytest.raises(ValueError, match="unknown shuffle letter 'X'"):
+            Step("X")
+
     @pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 26, 52, 100])
     def test_closed_forms_match_dealing(self, size):
         assert shuffle_permutation("L", size) == deal_permutation("left", size)
@@ -276,6 +280,22 @@ class TestOrders:
             r = multiplicative_order(value, modulus)
             assert pow(value, r, modulus) == 1 % modulus
             assert all(pow(value, s, modulus) != 1 % modulus for s in range(1, r))
+
+    def test_multiplicative_order_matches_stepping(self):
+        # the orders of the shuffles' values and two others, against the
+        # powers stepped through one by one, at every modulus in [2, 2000]
+        for modulus in range(2, 2001):
+            for value in (2, -2, 3, 7):
+                if math.gcd(value, modulus) != 1:
+                    continue
+                x, r = value % modulus, 1
+                while x != 1 % modulus:
+                    x, r = x * value % modulus, r + 1
+                assert multiplicative_order(value, modulus) == r, (value, modulus)
+
+    def test_orders_at_a_million_cards(self):
+        orders = {"L": 1048572, "R": 1048570, "I": 1048572, "O": 1048570}
+        assert {letter: shuffle_order(letter, 1048572) for letter in orders} == orders
 
     def test_standard_deck(self):
         assert shuffle_order("L", 52) == 52
