@@ -165,7 +165,7 @@ def _record_line(fields) -> str:
     signs = ",".join(f"{s:+d}" for s in fields["parities"].values())
     line = (
         f"2n={fields['two_n']} family={fields['family']} engine={fields['engine_used']} "
-        f"computed={fields['computed_order'] or '?'} predicted={fields['predicted_order']} "
+        f"computed={fields['computed_order']} predicted={fields['predicted_order']} "
         f"({fields['predicted_order_factored']}) match={'yes' if fields['match'] else 'NO'} "
         f"signs=({signs})"
     )
@@ -191,17 +191,23 @@ def _cmd_verify(args):
     matches = sum(r.match for r in records)
     payload = [r.to_fields() for r in records]
     lines = [*map(_record_line, payload), f"{len(records)} records, {matches} match"]
-    if any(r.computed_order is None for r in records):
-        status = INFEASIBLE
-    elif matches < len(records):
-        status = MISMATCH
-    else:
-        status = OK
-    return status, payload, lines
+    return OK if matches == len(records) else MISMATCH, payload, lines
 
 
 def _add_deck(parser, required=True):
     parser.add_argument("--deck", type=int, required=required, help="deck size (even)")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_engine(parser):
+    parser.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
+    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="positive BFS element cap")
 
 
 def _add_format(parser, choices=("text", "json"), default="text"):
@@ -251,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-order", help="exact order of a generated group")
     _add_deck(p)
     p.add_argument("--gens", default="LR", help="LR, IO, or comma-separated shuffle words")
-    p.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="BFS element cap")
+    _add_engine(p)
     _add_format(p)
     p.set_defaults(handler=_cmd_group_order)
 
@@ -272,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check computed group orders against predictions")
     p.add_argument("--min", type=int, default=2)
     p.add_argument("--max", type=int, default=52)
-    p.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="BFS element cap")
+    _add_engine(p)
     p.add_argument("--out", help="write a JSON report to this path")
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)

@@ -33,7 +33,6 @@ from typing import NamedTuple
 # where perfbench/tracing.py rebinds them
 from .bsgs import (
     DEFAULT_CAP,
-    EnumerationCapExceeded,
     StabilizerChain,
     _certified_order,
     bfs_enumerate,
@@ -341,7 +340,7 @@ class VerificationRecord:
     two_n: int
     family: str
     engine_used: str
-    computed_order: int | None
+    computed_order: int
     predicted_order: int
     predicted_order_factored: str
     match: bool
@@ -351,12 +350,11 @@ class VerificationRecord:
 
     def to_fields(self) -> dict:
         """Serialization dict, fixed key order, orders as decimal strings."""
-        computed = self.computed_order
         fields: dict = {
             "two_n": self.two_n,
             "family": self.family,
             "engine_used": self.engine_used,
-            "computed_order": None if computed is None else decimal_text(computed),
+            "computed_order": decimal_text(self.computed_order),
             "predicted_order": decimal_text(self.predicted_order),
             "predicted_order_factored": self.predicted_order_factored,
             "match": self.match,
@@ -384,21 +382,17 @@ def verify_deck_size(
     :func:`kernel_rule_applies`), its order with the predicted one.  The
     engine is :func:`compute_order`'s; ``engine_used`` names the one
     that answered.  The prediction only supplies the expected value, never
-    the engine.  A forced ``bfs`` run that blows the cap or the byte limit
-    (more than 255 cards) yields a record with no computed order and
-    ``match`` false rather than an exception, so a sweep over many deck
-    sizes degrades per record.
+    the engine.  A forced ``bfs`` run past the cap or the byte limit
+    (more than 255 cards) raises :class:`unshuffle.bsgs.EnumerationCapExceeded`,
+    as :func:`compute_order` does, so a sweep stops at its first such record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    try:
-        engine_used, computed = compute_order(gens, engine, cap)
-    except EnumerationCapExceeded:
-        engine_used, computed = engine, None
+    engine_used, computed = compute_order(gens, engine, cap)
 
     n = deck_size // 2
     kernel_computed = kernel_predicted = None
-    if family == "unshuffle" and kernel_rule_applies(n) and computed is not None:
+    if family == "unshuffle" and kernel_rule_applies(n):
         kernel_computed = pair_kernel_order(gens, group_order=computed)
         kernel_predicted = predicted_kernel_order(n)
 

@@ -14,6 +14,13 @@ from unshuffle.cli import main
 from unshuffle.shuffles import Step, shuffle_permutation
 
 
+def one_deck(command, size):
+    """Arguments running group-order or verify at one deck size."""
+    if command == "group-order":
+        return [command, "--deck", size]
+    return [command, "--min", size, "--max", size]
+
+
 class TestShuffle:
     def test_reversal(self, run_cli):
         code, out, _ = run_cli("shuffle", "--deck", 6, "--word", "V")
@@ -226,12 +233,19 @@ class TestGroupOrder:
         assert code == 0
         assert out.strip() == groups.decimal_text(groups.predict_group("perfect", 2848).order)
 
-    def test_bfs_cap_exhaustion_is_infeasible(self, run_cli):
-        code, _, err = run_cli(
-            "group-order", "--deck", 20, "--engine", "bfs", "--cap", 1000
-        )
-        assert code == 3
+    @pytest.mark.parametrize("command", ["group-order", "verify"])
+    def test_bfs_cap_exhaustion_is_infeasible(self, run_cli, command):
+        code, out, err = run_cli(*one_deck(command, 20), "--engine", "bfs", "--cap", 1000)
+        assert (code, out) == (3, "")
         assert "error:" in err
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("command", ["group-order", "verify"])
+    def test_non_positive_cap_is_usage_error(self, run_cli, command, cap):
+        # a bad flag, not an infeasible group, whatever the engine
+        code, out, err = run_cli(*one_deck(command, 6), "--cap", cap)
+        assert (code, out) == (2, "")
+        assert "--cap" in err
 
     @pytest.mark.parametrize("family, letters", [("LR", "L,R"), ("IO", "I,O")])
     def test_family_equals_its_letter_list(self, run_cli, family, letters):
@@ -247,9 +261,9 @@ class TestGroupOrder:
     def test_unknown_engine_is_usage_error(self, run_cli):
         assert run_cli("group-order", "--deck", 6, "--engine", "magic")[0] == 2
 
-    def test_bfs_past_byte_limit_is_infeasible(self, run_cli):
-        # the same condition verify reports with exit 3
-        code, out, err = run_cli("group-order", "--deck", 300, "--engine", "bfs")
+    @pytest.mark.parametrize("command", ["group-order", "verify"])
+    def test_bfs_past_byte_limit_is_infeasible(self, run_cli, command):
+        code, out, err = run_cli(*one_deck(command, 300), "--engine", "bfs")
         assert (code, out) == (3, "")
         assert "error:" in err
 
@@ -360,26 +374,27 @@ class TestVerify:
         assert [entry["family"] for entry in parsed] == ["perfect", "unshuffle"]
         assert parsed[1]["kernel_order_computed"] == "8"
 
-    def test_infeasible_exit_code(self, run_cli):
-        code, out, _ = run_cli(
-            "verify", "--min", 18, "--max", 18, "--engine", "bfs", "--cap", 1000
+    def test_infeasible_exit_code(self, run_cli, tmp_path):
+        # the run ends at the first infeasible record: no record lines and
+        # no partial report
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(
+            "verify", "--min", 18, "--max", 18, "--engine", "bfs", "--cap", 1000,
+            "--out", path,
         )
-        assert code == 3
-        assert "computed=?" in out
-        assert "match=NO" in out
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert not path.exists()
 
     def test_forced_bfs_past_byte_limit_is_infeasible(self, run_cli, tmp_path):
         path = tmp_path / "report.json"
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             "verify", "--min", 254, "--max", 256, "--engine", "bfs", "--cap", 1000,
             "--out", path,
         )
-        assert code == 3
-        assert out.splitlines()[-1] == "4 records, 0 match"
-        parsed = json.loads(path.read_text())
-        assert [entry["two_n"] for entry in parsed] == [254, 254, 256, 256]
-        assert all(entry["computed_order"] is None for entry in parsed)
-        assert not any(entry["match"] for entry in parsed)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert not path.exists()
 
     def test_unwritable_report_is_usage_error(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "report.json"

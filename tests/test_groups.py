@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.bsgs import bfs_enumerate
+from unshuffle import groups
+from unshuffle.bsgs import EnumerationCapExceeded, bfs_enumerate
 from unshuffle.groups import (
     FAMILIES,
     VerificationRecord,
@@ -326,15 +327,25 @@ class TestVerification:
         assert verify_deck_size(10, "perfect").kernel_order_computed is None
 
     def test_forced_bfs_degrades_to_unmatched(self):
-        record = verify_deck_size(18, "perfect", engine="bfs", cap=1000)
-        assert record.computed_order is None
-        assert record.match is False
+        # a forced engine that cannot finish raises, as compute_order does
+        with pytest.raises(EnumerationCapExceeded):
+            verify_deck_size(18, "perfect", engine="bfs", cap=1000)
 
     def test_forced_bfs_past_byte_limit_degrades(self):
-        record = verify_deck_size(256, "perfect", engine="bfs")
-        assert record.engine_used == "bfs"
-        assert record.computed_order is None
-        assert record.match is False
+        with pytest.raises(EnumerationCapExceeded):
+            verify_deck_size(256, "perfect", engine="bfs")
+
+    def test_forced_bfs_sweep_stops_at_first_infeasible_record(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bfs_enumerate(*args, **kwargs)
+
+        monkeypatch.setattr(groups, "bfs_enumerate", counted)
+        with pytest.raises(EnumerationCapExceeded):
+            verify_deck_sizes([18, 20, 22], engine="bfs", cap=1000)
+        assert len(calls) == 1
 
     def test_auto_past_byte_limit_uses_chain(self):
         # auto builds the chain at every deck size, here past BFS's byte
@@ -411,10 +422,6 @@ class TestReports:
             assert texts == [str(v) for v in values]
         finally:
             sys.set_int_max_str_digits(limit)
-
-    def test_infeasible_serializes_as_null(self):
-        record = verify_deck_size(18, "perfect", engine="bfs", cap=100)
-        assert record.to_fields()["computed_order"] is None
 
     def test_records_to_json(self):
         records = verify_deck_sizes([4, 6])
