@@ -1,8 +1,16 @@
 """Exact computations in finite permutation groups given by generators.
 
-Three ways to an exact order.  BFS and the chain are independent engines,
-kept deliberately separate so they can check each other; the certificate
-proves the order without either:
+Four ways to an exact order.  BFS and the chain are independent engines,
+kept deliberately separate so they can check each other; the affine
+engine and the certificate compute or prove the order without either:
+
+* :func:`_affine_order` answers on d = 2^k points when every generator
+  is an affine map x -> rot^j(x) xor b of the k-bit labels, a bit
+  rotation followed by a fixed xor, as every shuffle is at 2^k cards.
+  After an O(d) check of each generator, elements are pairs (b, j), and
+  the order is the number of rotations reached times 2^dim of the xor
+  translations, from Schreier's lemma and Gaussian elimination.  It gives
+  None on other degrees or other generators.
 
 * :func:`_certified_order` proves that the group reaches
   :func:`_order_bound` with a seeded witness: a giant (A_m or S_m) action
@@ -33,7 +41,7 @@ proves the order without either:
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
 
-The package's one engine policy, which picks among the three and runs the
+The package's one engine policy, which picks among the four and runs the
 one it picks, is :func:`unshuffle.groups.compute_order`.
 
 Internally permutations are raw image tuples, composed ("left then right")
@@ -47,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections.abc import Iterable, Iterator, Mapping
 
@@ -55,15 +64,16 @@ from .perm import Permutation, _compose, _invert, _wrap
 DEFAULT_CAP = 10_000_000
 BFS_MAX_DEGREE = 255
 
-# The random phase of StabilizerChain: a fixed seed, so every build of the
-# same generator list gives the same chain; product replacement with 11
-# slots warmed up by 50 steps (Celler et al. 1995); and the run of trivial
-# sifts after which the bound is taken to be out of reach.
+# Random elements: a fixed seed, so every build of the same generator list
+# gives the same chain and the same certificate; product replacement with
+# 11 slots (Celler et al. 1995).  The chain's random phase drops the first
+# 50 samples as warm-up and takes the bound to be out of reach after 30
+# trivial sifts in a row.  The certificate needs no warm-up, since any
+# group element may be its witness, and gives up after 100 samples.
 _RANDOM_SEED = 20230207
 _PR_SLOTS = 11
 _PR_WARMUP = 50
 _TRIVIAL_SIFTS = 30
-# the product-replacement samples _certified_order draws before it gives up
 _CERTIFICATE_SAMPLES = 100
 
 
@@ -265,7 +275,9 @@ def _certified_order(generators) -> int | None:
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
     them, so the answer is the same on every run.  Small m, the shuffle
     groups at 2n = 12, 24 and 2^k, and intransitive or imprimitive groups
-    give None, and the caller builds a :class:`StabilizerChain`.
+    give None.  The caller answers the 2^k decks with :func:`_affine_order`
+    before it gets here, and builds a :class:`StabilizerChain` for the rest:
+    the shuffle groups at 2n in {6, 10, 12, 14, 24}, and other generators.
     """
     raws, degree, _ = _normalize(generators)
     if not raws:
@@ -311,8 +323,124 @@ def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, 
         h = slots[t] if rng.random() < 0.5 else _invert(slots[t])
         slots[s] = _compose(slots[s], h) if rng.random() < 0.5 else _compose(h, slots[s])
         accumulator = _compose(accumulator, slots[s])
-        if step >= _PR_WARMUP:
-            yield accumulator
+        yield accumulator
+
+
+def _affine_order(generators) -> int | None:
+    """The order of the group when its degree is d = 2^k and every
+    generator is an affine map of the k-bit position labels whose linear
+    part is a bit rotation; None otherwise.
+
+    Write rot for the left rotation of k bits by one place, so
+    rot^j(1) = 2^j, and (b, j) for the map x -> rot^j(x) xor b.  A
+    generator g has this form exactly when, with b = g(0) and
+    g(1) xor b = 2^j, g(x) = rot^j(x) xor b at every point: an O(d) check.
+    These maps form F_2^k : Z_k.  (b, j) followed by (b', j') is
+    (rot^j'(b) xor b', j + j' mod k), so pi(b, j) = j is a homomorphism to
+    Z_k.  Its kernel in the group G is T, the translations in G, and
+    |G| = |pi(G)| * |T|.
+
+    *Image.*  A breadth-first walk from the identity that multiplies by
+    each generator on the right reaches every coset of T: G is finite, so
+    every element is a product of generators.  It keeps one representative
+    r_c for each value c of pi, at most k of them, and pi(G) is the set of
+    values reached.
+
+    *Translations.*  By Schreier's lemma T is generated by
+    r_c g r_{c+j}^-1 for every value c and generator g = (b, j).  Each
+    lies in the kernel of pi, so it is a translation x -> x xor t, and
+    translations compose by xor, so T is the F_2-span of these t.
+    Gaussian elimination on k-bit integers finds its dimension, and
+    |T| = 2^dim.  After the point check the work is O(k^2) integer
+    operations per generator.
+
+    At every 2^k deck each of L, R, I, O and V has this form (the tests
+    pin the five forms), so <L, R> and <I, O> are answered here.  Other
+    degrees, and any generator that fails the check, give None, and the
+    caller tries :func:`_certified_order` and then a
+    :class:`StabilizerChain`.
+    """
+    group = _affine_group(generators)
+    return None if group is None else group.order
+
+
+def _affine_group(generators) -> _AffineGroup | None:
+    # the group of _affine_order, or None where that gives None
+    raws, degree, _ = _normalize(generators)
+    if degree < 2 or degree & (degree - 1):
+        return None
+    forms = [_affine_form(g) for g in raws]
+    if None in forms:
+        return None
+    return _AffineGroup(degree.bit_length() - 1, forms)
+
+
+def _affine_form(g: tuple[int, ...]) -> tuple[int, int] | None:
+    # (b, j) when g is x -> rot^j(x) xor b on 2^k points, else None.  Such
+    # a map sends x xor 2^i to g(x) xor rot^j(2^i), so its images double
+    # from g(0) = b one bit at a time, each step one xor pass in C
+    b = g[0]
+    j = (g[1] ^ b).bit_length() - 1
+    k = len(g).bit_length() - 1
+    image = (b,)
+    for i in range(k):
+        image += tuple(map(operator.xor, image, itertools.repeat(1 << (i + j) % k)))
+    return (b, j) if image == g else None
+
+
+class _AffineGroup:
+    """The group of :func:`_affine_order` on 2^k points: one representative
+    (b, j) per rotation j in its image, and an xor basis of its
+    translations whose vectors have distinct leading bits, largest first.
+    p is a member exactly when it is such a map (b, j), j is in the image,
+    and p r_j^-1, a translation, lies in the span of the basis."""
+
+    __slots__ = ("k", "reps", "basis", "order")
+
+    def __init__(self, k: int, forms: list[tuple[int, int]]):
+        self.k = k
+        self.reps = {0: (0, 0)}
+        self.basis: list[int] = []
+        frontier = [(0, 0)]
+        for r in frontier:
+            for g in forms:
+                e = self._mul(r, g)
+                rep = self.reps.get(e[1])
+                if rep is None:
+                    self.reps[e[1]] = e
+                    frontier.append(e)
+                    continue
+                t = self._reduce(self._mul(e, self._inverse(rep))[0])
+                if t:
+                    self.basis.append(t)
+                    self.basis.sort(reverse=True)
+        self.order = len(self.reps) << len(self.basis)
+
+    def contains(self, p) -> bool:
+        raw = _raw(p)
+        if len(raw) != 1 << self.k:
+            return False
+        form = _affine_form(raw)
+        if form is None or form[1] not in self.reps:
+            return False
+        return self._reduce(self._mul(form, self._inverse(self.reps[form[1]]))[0]) == 0
+
+    def _rot(self, x: int, j: int) -> int:
+        return ((x << j) | (x >> (self.k - j))) & ((1 << self.k) - 1)
+
+    def _mul(self, p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+        # p, then q
+        return self._rot(p[0], q[1]) ^ q[0], (p[1] + q[1]) % self.k
+
+    def _inverse(self, p: tuple[int, int]) -> tuple[int, int]:
+        j = -p[1] % self.k
+        return self._rot(p[0], j), j
+
+    def _reduce(self, t: int) -> int:
+        # t less its projection on the basis: 0 exactly when t is in the span
+        for v in self.basis:
+            t = min(t, t ^ v)
+        return t
 
 
 class StabilizerChain:
@@ -412,6 +540,7 @@ class StabilizerChain:
         # sift random elements until the orbit sizes multiply to the bound;
         # False if _TRIVIAL_SIFTS sifts in a row were trivial before that
         elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
+        elements = itertools.islice(elements, _PR_WARMUP, None)
         trivial = 0
         while math.prod(map(len, self._levels)) < bound:
             if trivial == _TRIVIAL_SIFTS:

@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 
-# bfs_enumerate is not called here, but perfbench/tracing.py rebinds it in
-# this module, so the name must stay bound
+# StabilizerChain and bfs_enumerate are not called here, but
+# perfbench/tracing.py rebinds them in this module, so the names must stay
+# bound
 from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enumerate  # noqa: F401
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
@@ -19,6 +20,7 @@ from .groups import (
     compute_order,
     decimal_text,
     family_generators,
+    group_contains,
     power_of_two_exponent,
     predict_group,
     verify_deck_sizes,
@@ -156,7 +158,7 @@ def _cmd_group_predict(args):
 def _cmd_group_member(args):
     gens = _parse_generators(args.gens, args.deck)
     p = _parse_permutation(args.perm, args.deck)
-    member = StabilizerChain(gens).contains(p)
+    member = group_contains(gens, p)
     payload = {"deck": args.deck, "gens": args.gens, "member": member}
     return OK, payload, ["true" if member else "false"]
 
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
     p.set_defaults(handler=_cmd_group_predict)
 
-    p = sub.add_parser("group-member", help="membership test by sifting")
+    p = sub.add_parser("group-member", help="membership test")
     _add_deck(p)
     p.add_argument("--gens", default="LR")
     p.add_argument("--perm", required=True, help='image text "2,5,1,4,0,3" or cycle text "(0 2)(1 4)"')

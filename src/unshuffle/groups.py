@@ -6,11 +6,13 @@ group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
 reports whether theory and computation agree.  The recomputation proves
 the order through :func:`compute_order`, the package's one engine policy:
+the affine engine of :func:`unshuffle.bsgs._affine_order` at 2n = 2^k,
 the giant-image certificate of :func:`unshuffle.bsgs._certified_order`
 where a witness turns up, and a certified stabilizer chain elsewhere
-(2n <= 16, 24 and 2^k) or when the chain is asked for by name; BFS
+(2n in {6, 10, 12, 14, 24}) or when the chain is asked for by name; BFS
 enumeration, the independent engine, also runs only when asked for.  The
-prediction never picks the engine.
+prediction never picks the engine.  :func:`group_contains` tests
+membership the same way: affinely at 2^k, else by a sift through a chain.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -34,6 +36,8 @@ from typing import NamedTuple
 from .bsgs import (
     DEFAULT_CAP,
     StabilizerChain,
+    _affine_group,
+    _affine_order,
     _certified_order,
     bfs_enumerate,
 )
@@ -67,13 +71,18 @@ def compute_order(
 
     Every ``engine="auto"`` in the package (:func:`group_order`,
     :func:`verify_deck_size`, :func:`pair_kernel_order`, the command line)
-    means :func:`unshuffle.bsgs._certified_order`, and the stabilizer chain
-    where the certificate gives None; both are exact at any scale.
-    ``schreier`` forces the chain, and ``bfs`` runs the enumeration, the
-    independent check, which raises :class:`EnumerationCapExceeded` past
-    ``cap`` elements or 255 points.  Any other engine is a ValueError.
+    means :func:`unshuffle.bsgs._affine_order` on 2^k points, then
+    :func:`unshuffle.bsgs._certified_order`, and the stabilizer chain
+    where both give None; all three are exact, and the first two answer
+    at any scale.  ``schreier`` forces the chain, and ``bfs`` runs the
+    enumeration, the independent check, which raises
+    :class:`EnumerationCapExceeded` past ``cap`` elements or 255 points.
+    Any other engine is a ValueError.
     """
     if engine == "auto":
+        order = _affine_order(generators)
+        if order is not None:
+            return "affine", order
         order = _certified_order(generators)
         if order is not None:
             return "certificate", order
@@ -83,6 +92,16 @@ def compute_order(
     if engine == "bfs":
         return engine, bfs_enumerate(generators, cap).order
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def group_contains(generators: Sequence, p) -> bool:
+    """Whether the generated group contains p: the affine test of
+    :func:`unshuffle.bsgs._affine_order` when every generator passes it,
+    else a sift through a :class:`StabilizerChain`."""
+    affine = _affine_group(generators)
+    if affine is not None:
+        return affine.contains(p)
+    return StabilizerChain(generators).contains(p)
 
 
 def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -13,13 +14,18 @@ from unshuffle.bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
+    _affine_form,
+    _affine_order,
     _certified_order,
     _order_bound,
     bfs_enumerate,
 )
+from unshuffle.elmsley import binary_shuffle_image, bits_index, index_bits
 from unshuffle.groups import (
     FAMILIES,
+    compute_order,
     family_generators,
+    group_contains,
     group_order,
     power_of_two_exponent,
     predict_group,
@@ -416,6 +422,104 @@ class TestCertificate:
         _certified_order(family_generators("unshuffle", 52))
         _certified_order(family_generators("perfect", 32))
         assert random.getstate() == state
+
+
+def affine_image(form, k, x):
+    # x -> rot^j(x) xor b on k-bit labels, rot the left rotation by one bit
+    b, j = form
+    return (((x << j) | (x >> (k - j))) & ((1 << k) - 1)) ^ b
+
+
+LETTER_PAIRS = ["".join(pair) for pair in itertools.combinations("LRIOV", 2)]
+
+
+class TestAffine:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_letter_forms(self, k):
+        d = 2**k
+        forms = {
+            "L": (2 ** (k - 1) - 1, k - 1),
+            "R": (2**k - 1, k - 1),
+            "I": (1, 1),
+            "O": (0, 1),
+            "V": (2**k - 1, 0),
+        }
+        for letter, form in forms.items():
+            image = shuffle_permutation(letter, d).image
+            assert _affine_form(image) == form, letter
+            assert image == tuple(affine_image(form, k, x) for x in range(d)), letter
+        for letter in "LR":
+            for x in range(d):
+                got = bits_index(binary_shuffle_image(letter, index_bits(x, k)))
+                assert got == affine_image(forms[letter], k, x), (letter, x)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_chain(self, k):
+        for letters in LETTER_PAIRS + ["LRIOV", "LV", "IV"]:
+            gens = [shuffle_permutation(x, 2**k) for x in letters]
+            assert _affine_order(gens) == StabilizerChain(gens).order, letters
+        for family in FAMILIES:
+            assert _affine_order(family_generators(family, 2**k)) == k * 2**k
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_sympy(self, k):
+        for letters in LETTER_PAIRS + ["LRIOV"]:
+            gens = [shuffle_permutation(x, 2**k) for x in letters]
+            assert _affine_order(gens) == sympy_order(gens), letters
+
+    def test_non_affine_generators_fall_through(self):
+        transposition = Permutation.from_cycle_text("(0 1)", 16)
+        gens = [*family_generators("unshuffle", 16), transposition]
+        assert _affine_order(gens) is None
+        assert compute_order(gens) == ("certificate", math.factorial(16))
+        gens = [shuffle_permutation("L", 32), Permutation.from_cycle_text("(0 1)", 32)]
+        assert _affine_order(gens) is None
+        assert compute_order(gens) == ("schreier", StabilizerChain(gens).order)
+        assert StabilizerChain(gens).order == sympy_order(gens)
+
+    def test_only_powers_of_two(self):
+        # L and R are no affine maps off 2^k, and the degree test comes first
+        assert _affine_order(family_generators("unshuffle", 24)) is None
+        assert _affine_order([Permutation.identity(12)]) is None
+        assert _affine_order([Permutation.identity(1)]) is None
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_mixed_and_identity_generators(self, k):
+        d = 2**k
+        mixed = [shuffle_permutation(x, d) for x in "LI"]
+        assert compute_order(mixed) == ("affine", StabilizerChain(mixed).order)
+        assert compute_order([Permutation.identity(d)]) == ("affine", 1)
+        assert not group_contains([Permutation.identity(d)], mixed[0])
+        assert group_contains([Permutation.identity(d)], Permutation.identity(d))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_membership_matches_chain(self, k):
+        d = 2**k
+        rng = random.Random(k)
+        for letters in ["LR", "IO", "LI", "LV", "OV"]:
+            gens = [shuffle_permutation(x, d) for x in letters]
+            chain = StabilizerChain(gens)
+            members = [word_permutation("".join(rng.choices(letters, k=9)), d) for _ in range(6)]
+            # affine maps of every rotation: members or not by their b and j
+            forms = [(rng.randrange(d), j) for j in range(k)]
+            affine = [Permutation([affine_image(f, k, x) for x in range(d)]) for f in forms]
+            others = [Permutation(rng.sample(range(d), d)) for _ in range(4)]
+            others.append(Permutation.from_cycle_text(f"(0 {d - 1})", d))
+            verdicts = [group_contains(gens, p) for p in members + affine + others]
+            assert verdicts == [chain.contains(p) for p in members + affine + others]
+            assert all(verdicts[: len(members)]), letters
+            if k > 2:  # on 4 cards the groups hold a third of S_4 and (0 3)
+                assert not any(verdicts[len(members) + len(affine) :]), letters
+
+    def test_membership_degree_mismatch(self):
+        gens = family_generators("perfect", 16)
+        assert not group_contains(gens, Permutation.identity(8))
+        assert not group_contains(gens, Permutation.identity(17))
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    def test_a_million_cards(self, family):
+        gens = family_generators(family, 2**20)
+        assert compute_order(gens) == ("affine", 20 * 2**20)
 
 
 class TestFallback:

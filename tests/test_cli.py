@@ -227,6 +227,17 @@ class TestGroupOrder:
             payload = {"deck": 52, "gens": "LR", "engine_used": used, "order": order}
             assert json.loads(out) == payload
 
+    @pytest.mark.parametrize("gens, order", [("L,I", "8"), ("LL'", "1")])
+    def test_affine_at_a_power_of_two(self, run_cli, gens, order):
+        # mixed families and the identity alone are affine too
+        def payload(*engine):
+            args = ("group-order", "--deck", 16, "--gens", gens, *engine, "--format", "json")
+            return json.loads(run_cli(*args)[1])
+
+        affine, chain = payload(), payload("--engine", "schreier")
+        assert affine["engine_used"] == "affine"
+        assert affine["order"] == chain["order"] == order
+
     def test_order_past_the_int_string_limit(self, run_cli):
         # 2n = 2848 is the first deck size whose order has over 4300 digits
         code, out, _ = run_cli("group-order", "--deck", 2848, "--gens", "IO")
@@ -332,6 +343,16 @@ class TestGroupMember:
             "--perm", "5,4,3,2,1,0", "--format", "json",
         )
         assert json.loads(out) == {"deck": 6, "gens": "IO", "member": False}
+
+    def test_power_of_two_needs_no_chain(self, run_cli, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("a 2^k deck built a chain")
+
+        monkeypatch.setattr(groups, "StabilizerChain", no_chain)
+        reversal = ",".join(str(4095 - i) for i in range(4096))
+        assert run_cli("group-member", "--deck", 4096, "--perm", reversal)[1] == "true\n"
+        _, out, _ = run_cli("group-member", "--deck", 4096, "--gens", "IO", "--perm", "(0 4095)")
+        assert out == "false\n"
 
     def test_degree_mismatch(self, run_cli):
         code, _, err = run_cli("group-member", "--deck", 6, "--perm", "1,0")

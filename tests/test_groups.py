@@ -312,12 +312,15 @@ class TestVerification:
 
     def test_auto_certifies_off_the_special_sizes(self):
         # auto and schreier records differ only in engine_used, which is
-        # "certificate" everywhere but 2n <= 16, 24 and 32
+        # "affine" at 16 and 32, "schreier" at 14 and 24 and "certificate"
+        # everywhere else
         for size in range(14, 37, 2):
             for family in FAMILIES:
                 auto = verify_deck_size(size, family)
                 forced = verify_deck_size(size, family, engine="schreier")
-                expected = "schreier" if size <= 16 or size in (24, 32) else "certificate"
+                expected = {16: "affine", 32: "affine", 14: "schreier", 24: "schreier"}.get(
+                    size, "certificate"
+                )
                 assert auto.engine_used == expected, (size, family)
                 assert auto == dataclasses.replace(forced, engine_used=expected)
 
@@ -347,11 +350,11 @@ class TestVerification:
             verify_deck_sizes([18, 20, 22], engine="bfs", cap=1000)
         assert len(calls) == 1
 
-    def test_auto_past_byte_limit_uses_chain(self):
-        # auto builds the chain at every deck size, here past BFS's byte
-        # packing
+    def test_auto_past_byte_limit_is_affine(self):
+        # 256 = 2^8 cards, past BFS's byte packing: auto answers with the
+        # affine engine
         record = verify_deck_size(256, "perfect")
-        assert record.engine_used == "schreier"
+        assert record.engine_used == "affine"
         assert record.computed_order == record.predicted_order == 2048
 
     def test_bad_engine(self):
