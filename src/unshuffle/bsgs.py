@@ -4,7 +4,7 @@ Four ways to an exact order.  BFS and the chain are independent engines,
 kept deliberately separate so they can check each other; the affine
 engine and the certificate compute or prove the order without either:
 
-* :func:`_affine_order` answers on d = 2^k points when every generator
+* :func:`_affine_group` answers on d = 2^k points when every generator
   is an affine map x -> rot^j(x) xor b of the k-bit labels, a bit
   rotation followed by a fixed xor, as every shuffle is at 2^k cards.
   After an O(d) check of each generator, elements are pairs (b, j), and
@@ -69,12 +69,14 @@ BFS_MAX_DEGREE = 255
 # 11 slots (Celler et al. 1995).  The chain's random phase drops the first
 # 50 samples as warm-up and takes the bound to be out of reach after 30
 # trivial sifts in a row.  The certificate needs no warm-up, since any
-# group element may be its witness, and gives up after 100 samples.
+# group element may be its witness, and gives up after 150 samples: the
+# same stream, so it sees every sample that 100 taken after the warm-up
+# would, and answers wherever they would.
 _RANDOM_SEED = 20230207
 _PR_SLOTS = 11
 _PR_WARMUP = 50
 _TRIVIAL_SIFTS = 30
-_CERTIFICATE_SAMPLES = 100
+_CERTIFICATE_SAMPLES = 150
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -275,7 +277,7 @@ def _certified_order(generators) -> int | None:
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
     them, so the answer is the same on every run.  Small m, the shuffle
     groups at 2n = 12, 24 and 2^k, and intransitive or imprimitive groups
-    give None.  The caller answers the 2^k decks with :func:`_affine_order`
+    give None.  The caller answers the 2^k decks with :func:`_affine_group`
     before it gets here, and builds a :class:`StabilizerChain` for the rest:
     the shuffle groups at 2n in {6, 10, 12, 14, 24}, and other generators.
     """
@@ -316,7 +318,7 @@ def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, 
     with an accumulator (Celler et al. 1995)."""
     slots = [generators[i % len(generators)] for i in range(max(_PR_SLOTS, len(generators)))]
     accumulator = tuple(range(len(generators[0])))
-    for step in itertools.count():
+    while True:
         s = rng.randrange(len(slots))
         t = rng.randrange(len(slots) - 1)
         t += t >= s
@@ -326,10 +328,10 @@ def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, 
         yield accumulator
 
 
-def _affine_order(generators) -> int | None:
-    """The order of the group when its degree is d = 2^k and every
-    generator is an affine map of the k-bit position labels whose linear
-    part is a bit rotation; None otherwise.
+def _affine_group(generators) -> _AffineGroup | None:
+    """The generated group, with its exact order, when its degree is
+    d = 2^k and every generator is an affine map of the k-bit position
+    labels whose linear part is a bit rotation; None otherwise.
 
     Write rot for the left rotation of k bits by one place, so
     rot^j(1) = 2^j, and (b, j) for the map x -> rot^j(x) xor b.  A
@@ -360,12 +362,6 @@ def _affine_order(generators) -> int | None:
     caller tries :func:`_certified_order` and then a
     :class:`StabilizerChain`.
     """
-    group = _affine_group(generators)
-    return None if group is None else group.order
-
-
-def _affine_group(generators) -> _AffineGroup | None:
-    # the group of _affine_order, or None where that gives None
     raws, degree, _ = _normalize(generators)
     if degree < 2 or degree & (degree - 1):
         return None
@@ -389,7 +385,7 @@ def _affine_form(g: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 class _AffineGroup:
-    """The group of :func:`_affine_order` on 2^k points: one representative
+    """The group of :func:`_affine_group` on 2^k points: one representative
     (b, j) per rotation j in its image, and an xor basis of its
     translations whose vectors have distinct leading bits, largest first.
     p is a member exactly when it is such a map (b, j), j is in the image,

@@ -6,7 +6,7 @@ group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
 reports whether theory and computation agree.  The recomputation proves
 the order through :func:`compute_order`, the package's one engine policy:
-the affine engine of :func:`unshuffle.bsgs._affine_order` at 2n = 2^k,
+the affine engine of :func:`unshuffle.bsgs._affine_group` at 2n = 2^k,
 the giant-image certificate of :func:`unshuffle.bsgs._certified_order`
 where a witness turns up, and a certified stabilizer chain elsewhere
 (2n in {6, 10, 12, 14, 24}) or when the chain is asked for by name; BFS
@@ -37,7 +37,6 @@ from .bsgs import (
     DEFAULT_CAP,
     StabilizerChain,
     _affine_group,
-    _affine_order,
     _certified_order,
     bfs_enumerate,
 )
@@ -71,7 +70,7 @@ def compute_order(
 
     Every ``engine="auto"`` in the package (:func:`group_order`,
     :func:`verify_deck_size`, :func:`pair_kernel_order`, the command line)
-    means :func:`unshuffle.bsgs._affine_order` on 2^k points, then
+    means :func:`unshuffle.bsgs._affine_group` on 2^k points, then
     :func:`unshuffle.bsgs._certified_order`, and the stabilizer chain
     where both give None; all three are exact, and the first two answer
     at any scale.  ``schreier`` forces the chain, and ``bfs`` runs the
@@ -80,9 +79,9 @@ def compute_order(
     Any other engine is a ValueError.
     """
     if engine == "auto":
-        order = _affine_order(generators)
-        if order is not None:
-            return "affine", order
+        affine = _affine_group(generators)
+        if affine is not None:
+            return "affine", affine.order
         order = _certified_order(generators)
         if order is not None:
             return "certificate", order
@@ -96,7 +95,7 @@ def compute_order(
 
 def group_contains(generators: Sequence, p) -> bool:
     """Whether the generated group contains p: the affine test of
-    :func:`unshuffle.bsgs._affine_order` when every generator passes it,
+    :func:`unshuffle.bsgs._affine_group` when every generator passes it,
     else a sift through a :class:`StabilizerChain`."""
     affine = _affine_group(generators)
     if affine is not None:

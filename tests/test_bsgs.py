@@ -15,7 +15,7 @@ from unshuffle.bsgs import (
     EnumerationCapExceeded,
     StabilizerChain,
     _affine_form,
-    _affine_order,
+    _affine_group,
     _certified_order,
     _order_bound,
     bfs_enumerate,
@@ -457,31 +457,31 @@ class TestAffine:
     def test_matches_chain(self, k):
         for letters in LETTER_PAIRS + ["LRIOV", "LV", "IV"]:
             gens = [shuffle_permutation(x, 2**k) for x in letters]
-            assert _affine_order(gens) == StabilizerChain(gens).order, letters
+            assert _affine_group(gens).order == StabilizerChain(gens).order, letters
         for family in FAMILIES:
-            assert _affine_order(family_generators(family, 2**k)) == k * 2**k
+            assert _affine_group(family_generators(family, 2**k)).order == k * 2**k
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_sympy(self, k):
         for letters in LETTER_PAIRS + ["LRIOV"]:
             gens = [shuffle_permutation(x, 2**k) for x in letters]
-            assert _affine_order(gens) == sympy_order(gens), letters
+            assert _affine_group(gens).order == sympy_order(gens), letters
 
     def test_non_affine_generators_fall_through(self):
         transposition = Permutation.from_cycle_text("(0 1)", 16)
         gens = [*family_generators("unshuffle", 16), transposition]
-        assert _affine_order(gens) is None
+        assert _affine_group(gens) is None
         assert compute_order(gens) == ("certificate", math.factorial(16))
         gens = [shuffle_permutation("L", 32), Permutation.from_cycle_text("(0 1)", 32)]
-        assert _affine_order(gens) is None
+        assert _affine_group(gens) is None
         assert compute_order(gens) == ("schreier", StabilizerChain(gens).order)
         assert StabilizerChain(gens).order == sympy_order(gens)
 
     def test_only_powers_of_two(self):
         # L and R are no affine maps off 2^k, and the degree test comes first
-        assert _affine_order(family_generators("unshuffle", 24)) is None
-        assert _affine_order([Permutation.identity(12)]) is None
-        assert _affine_order([Permutation.identity(1)]) is None
+        assert _affine_group(family_generators("unshuffle", 24)) is None
+        assert _affine_group([Permutation.identity(12)]) is None
+        assert _affine_group([Permutation.identity(1)]) is None
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_mixed_and_identity_generators(self, k):
