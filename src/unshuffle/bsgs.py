@@ -1,8 +1,9 @@
 """Exact computations in finite permutation groups given by generators.
 
-Four ways to an exact order.  BFS and the chain are independent engines,
-kept deliberately separate so they can check each other; the affine
-engine and the certificate compute or prove the order without either:
+Four ways to an exact group, each with its ``order`` and ``p in group``.
+BFS and the chain are independent engines, kept deliberately separate so
+they can check each other; the affine engine and the certificate compute
+or prove the group without either:
 
 * :func:`_affine_group` answers on d = 2^k points when every generator
   is an affine map x -> rot^j(x) xor b of the k-bit labels, a bit
@@ -12,14 +13,14 @@ engine and the certificate compute or prove the order without either:
   translations, from Schreier's lemma and Gaussian elimination.  It gives
   None on other degrees or other generators.
 
-* :func:`_certified_order` proves that the group reaches
-  :func:`_order_bound` with a seeded witness: a giant (A_m or S_m) action
+* :func:`_certified_group` proves that the group is its
+  :class:`_SignGroup` with a seeded witness: a giant (A_m or S_m) action
   on the mirror pairs or the points, by Jordan's theorem, and for
   centrally symmetric generators one flip pattern that is not constant.
-  Each random element costs O(d), so it answers at thousands of cards
-  where a chain would need gigabytes.  It gives None where no witness
-  exists (the shuffle groups at 2n <= 16, 24 and 2^k, intransitive or
-  imprimitive groups, small degrees).
+  Each random element and each membership test costs O(d), so it answers
+  at thousands of cards where a chain would need gigabytes.  It gives
+  None where no witness exists (the shuffle groups at 2n <= 16, 24 and
+  2^k, intransitive or imprimitive groups, small degrees).
 
 * :func:`bfs_enumerate` walks the Cayley graph breadth first and returns the
   full element set.  Exact but memory bound; it refuses to grow past a cap.
@@ -29,10 +30,10 @@ engine and the certificate compute or prove the order without either:
 
 * :class:`StabilizerChain` produces a base, strong generating set and
   transversals.  It first sifts seeded product-replacement random elements
-  and stops as soon as the product of its orbit sizes reaches
-  :func:`_order_bound`, an upper bound on the group order proved from the
-  generators alone (central symmetry, sign and pair sign for the shuffle
-  groups; S_d or A_d otherwise).  Meeting the bound certifies the chain
+  and stops as soon as the product of its orbit sizes reaches the order of
+  the :class:`_SignGroup`, an upper bound proved from the generators alone
+  (central symmetry, sign and pair sign for the shuffle groups; S_d or A_d
+  otherwise).  Meeting the bound certifies the chain
   complete.  When the bound is not met (the shuffle groups at 2n = 12, 24
   and 2^k, most other generator sets) the build runs the deterministic,
   incremental Schreier-Sims closure instead, in which orbits and
@@ -42,7 +43,8 @@ engine and the certificate compute or prove the order without either:
   integers do not overflow.
 
 The package's one engine policy, which picks among the four and runs the
-one it picks, is :func:`unshuffle.groups.compute_order`.
+one it picks, is :func:`unshuffle.groups.compute_group`; order and
+membership both read the group it returns.
 
 Internally permutations are raw image tuples, composed ("left then right")
 and inverted by the kernels of :mod:`unshuffle.perm`, which the chain's
@@ -170,40 +172,45 @@ def _cap_exceeded(cap: int) -> EnumerationCapExceeded:
     )
 
 
-def _order_bound(generators) -> int:
-    """An upper bound on the order of the group the generators produce,
-    proved by an O(d) check of each generator.
+class _SignGroup:
+    """A group that contains the one the generators produce, proved by an
+    O(d) check of each generator: an upper bound with ``order`` and ``in``.
 
     If every generator is centrally symmetric (i + j = d-1 implies
-    image[i] + image[j] = d-1) and d = 2n >= 4, the group lies in the
-    hyperoctahedral group B_n of order n! * 2^n.  For n >= 2, B_n has four
-    linear characters into {+1, -1}: 1, the sign, the pair sign (the sign
-    of the action on the n mirror pairs) and their product.  The group lies
-    in the kernel of each one that is trivial on every generator, and these
+    image[i] + image[j] = d-1) and d = 2n >= 4 (``paired``), the group lies
+    in the hyperoctahedral group B_n of order n! * 2^n.  For n >= 2, B_n
+    has four linear characters into {+1, -1}: 1, the sign, the pair sign
+    (the sign of the action on the n mirror pairs) and their product, here
+    (a, b) for sign^a * pair sign^b.  The group lies in the kernel of each
+    one trivial on every generator (``characters``, 1 left out), and these
     kernels meet in a subgroup whose index is their count.  Otherwise the
     group lies in S_d, or in A_d when every generator is even.
     """
-    perms = [_wrap(_raw(g)) for g in generators]
-    d = perms[0].degree
-    if _on_pairs(perms):
-        signs = [(p.parity(), p.pair_parity()) for p in perms]
-        trivial = (
-            1
-            + all(s == 1 for s, _ in signs)
-            + all(t == 1 for _, t in signs)
-            + all(s == t for s, t in signs)
-        )
-        n = d // 2
-        return math.factorial(n) * 2**n // trivial
-    if d >= 2 and all(p.parity() == 1 for p in perms):
-        return math.factorial(d) // 2
-    return math.factorial(d)
 
+    __slots__ = ("degree", "paired", "characters", "order")
 
-def _on_pairs(perms) -> bool:
-    # the bound and the certificate use the mirror pairs: every generator
-    # is centrally symmetric and there are at least two pairs
-    return perms[0].degree >= 4 and all(p.is_centrally_symmetric() for p in perms)
+    def __init__(self, generators):
+        perms = [_wrap(_raw(g)) for g in generators]
+        d = self.degree = perms[0].degree
+        self.paired = d >= 4 and all(p.is_centrally_symmetric() for p in perms)
+        if self.paired:
+            self.characters, size = ((1, 0), (0, 1), (1, 1)), math.factorial(d // 2) << d // 2
+        else:
+            self.characters, size = ((1, 0),) if d >= 2 else (), math.factorial(d)
+        for p in perms:
+            self.characters = self._trivial(p)
+        self.order = size // (1 + len(self.characters))
+
+    def _trivial(self, p: Permutation) -> tuple[tuple[int, int], ...]:
+        # the characters kept so far that are +1 on p
+        s, t = p.parity(), p.pair_parity() if self.paired else 1
+        return tuple((a, b) for a, b in self.characters if s**a * t**b == 1)
+
+    def __contains__(self, p) -> bool:
+        p = _wrap(_raw(p))
+        if p.degree != self.degree or (self.paired and not p.is_centrally_symmetric()):
+            return False
+        return self._trivial(p) == self.characters
 
 
 def _is_prime(k: int) -> bool:
@@ -232,12 +239,13 @@ def _home_cycles(g: tuple[int, ...], m: int) -> list[tuple[int, bool]]:
     return cycles
 
 
-def _certified_order(generators) -> int | None:
-    """:func:`_order_bound`, when a seeded witness proves that the group
-    reaches it; None when no witness turns up.
+def _certified_group(generators) -> _SignGroup | None:
+    """The :class:`_SignGroup` of the generators, when a seeded witness
+    proves that their group, which lies in it, reaches its order; None
+    when no witness turns up.
 
-    The test acts on m homes: the n = d/2 mirror pairs when the bound used
-    them (every generator centrally symmetric, d >= 4), else the d points.
+    The test acts on m homes: the n = d/2 mirror pairs when the bound is
+    ``paired``, else the d points.
     Let H be the group's action on the homes and G the group itself.
 
     *Giant image.*  H is transitive (one orbit walk), and a sample h has a
@@ -269,14 +277,14 @@ def _certified_order(generators) -> int | None:
     Z_2 x A_n and maps onto A_n; A_n is perfect (n >= 5), so the derived
     group of that image is 1 x A_n, and G contains E : A_n = [B_n, B_n].
     B_n / [B_n, B_n] is Z_2^2, whose four characters are the ones
-    :func:`_order_bound` counts, so |G| = |B_n| / (the number of them
+    :class:`_SignGroup` counts, so |G| = |B_n| / (the number of them
     trivial on the generators): the bound.  No odd-weight vector is
     needed.
 
     Samples come from product replacement in a private
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
     them, so the answer is the same on every run.  Small m, the shuffle
-    groups at 2n = 12, 24 and 2^k, and intransitive or imprimitive groups
+    groups at 2n <= 16, 24 and 2^k, and intransitive or imprimitive groups
     give None.  The caller answers the 2^k decks with :func:`_affine_group`
     before it gets here, and builds a :class:`StabilizerChain` for the rest:
     the shuffle groups at 2n in {6, 10, 12, 14, 24}, and other generators.
@@ -284,8 +292,8 @@ def _certified_order(generators) -> int | None:
     raws, degree, _ = _normalize(generators)
     if not raws:
         return None
-    paired = _on_pairs([_wrap(g) for g in raws])
-    m = degree // 2 if paired else degree
+    bound = _SignGroup(raws)
+    m = degree // 2 if bound.paired else degree
     if not any(map(_is_prime, range(m // 2 + 1, m - 2))):
         return None
     orbit, frontier = {0}, [0]
@@ -298,7 +306,7 @@ def _certified_order(generators) -> int | None:
                 frontier.append(y)
     if len(orbit) < m:
         return None
-    giant, kernel = False, not paired
+    giant, kernel = False, not bound.paired
     elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
     for g in itertools.islice(elements, _CERTIFICATE_SAMPLES):
         cycles = _home_cycles(g, m)
@@ -309,7 +317,7 @@ def _certified_order(generators) -> int | None:
             r = math.lcm(*(length for length, _ in cycles))
             kernel = len({flip and r // length % 2 == 1 for length, flip in cycles}) == 2
         if giant and kernel:
-            return _order_bound(raws)
+            return bound
     return None
 
 
@@ -359,7 +367,7 @@ def _affine_group(generators) -> _AffineGroup | None:
     At every 2^k deck each of L, R, I, O and V has this form (the tests
     pin the five forms), so <L, R> and <I, O> are answered here.  Other
     degrees, and any generator that fails the check, give None, and the
-    caller tries :func:`_certified_order` and then a
+    caller tries :func:`_certified_group` and then a
     :class:`StabilizerChain`.
     """
     raws, degree, _ = _normalize(generators)
@@ -412,11 +420,9 @@ class _AffineGroup:
                     self.basis.sort(reverse=True)
         self.order = len(self.reps) << len(self.basis)
 
-    def contains(self, p) -> bool:
+    def __contains__(self, p) -> bool:
         raw = _raw(p)
-        if len(raw) != 1 << self.k:
-            return False
-        form = _affine_form(raw)
+        form = _affine_form(raw) if len(raw) == 1 << self.k else None
         if form is None or form[1] not in self.reps:
             return False
         return self._reduce(self._mul(form, self._inverse(self.reps[form[1]]))[0]) == 0
@@ -457,12 +463,12 @@ class StabilizerChain:
     generator list produce the identical chain.  Each nontrivial residue,
     which fixes the first j base points and sends base point j outside its
     orbit (or fixes every base point), joins levels 0..j.  This stops as
-    soon as the product of the orbit sizes equals :func:`_order_bound`.
-    That proves the chain complete: every strong generator is a residue of
-    an element of the group G, so orbit i lies inside the orbit of base
-    point i under the stabilizer in G of the base points before it, and
-    the product of the orbit sizes is at most |G|, which is at most the
-    bound.  Equality forces every orbit to be full and the stabilizer of
+    soon as the product of the orbit sizes equals the order of the
+    generators' :class:`_SignGroup`.  That proves the chain complete:
+    every strong generator is a residue of an element of the group G, so
+    orbit i lies inside the orbit of base point i under the stabilizer in
+    G of the base points before it, and the product of the orbit sizes is
+    at most |G|, which is at most the bound.  Equality forces every orbit to be full and the stabilizer of
     the whole base in G to be trivial.
 
     After ``_TRIVIAL_SIFTS`` trivial sifts in a row below the bound, the
@@ -480,7 +486,7 @@ class StabilizerChain:
         self.degree = degree
         self._identity = identity
         self._start(raws)
-        if raws and not self._random_fill(raws, _order_bound(raws)):
+        if raws and not self._random_fill(raws, _SignGroup(raws).order):
             self._start(raws)
             i = len(self._levels) - 1
             while i >= 0:

@@ -17,7 +17,7 @@ from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enum
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
-    compute_order,
+    compute_group,
     decimal_text,
     family_generators,
     group_contains,
@@ -131,8 +131,8 @@ def _cmd_elmsley(args):
 
 def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
-    engine_used, order = compute_order(gens, args.engine, args.cap)
-    order = decimal_text(order)
+    engine_used, group = compute_group(gens, args.engine, args.cap)
+    order = decimal_text(group.order)
     payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
     return OK, payload, [order]
 

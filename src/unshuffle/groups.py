@@ -4,15 +4,10 @@ The two generator families are the unshuffles ``<L, R>`` and the perfect
 shuffles ``<I, O>``.  For every even deck size the exact order of each
 group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
-reports whether theory and computation agree.  The recomputation proves
-the order through :func:`compute_order`, the package's one engine policy:
-the affine engine of :func:`unshuffle.bsgs._affine_group` at 2n = 2^k,
-the giant-image certificate of :func:`unshuffle.bsgs._certified_order`
-where a witness turns up, and a certified stabilizer chain elsewhere
-(2n in {6, 10, 12, 14, 24}) or when the chain is asked for by name; BFS
-enumeration, the independent engine, also runs only when asked for.  The
-prediction never picks the engine.  :func:`group_contains` tests
-membership the same way: affinely at 2^k, else by a sift through a chain.
+reports whether theory and computation agree.  The recomputation, like
+:func:`group_order` and :func:`group_contains`, reads the group that
+:func:`compute_group`, the package's one engine policy, returns; the
+prediction never picks the engine.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -28,16 +23,17 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-# compute_order looks StabilizerChain and bfs_enumerate up in this module,
+# compute_group looks StabilizerChain and bfs_enumerate up in this module,
 # where perfbench/tracing.py rebinds them
 from .bsgs import (
     DEFAULT_CAP,
     StabilizerChain,
     _affine_group,
-    _certified_order,
+    _certified_group,
     bfs_enumerate,
 )
 from .perm import Permutation
@@ -62,16 +58,15 @@ def family_generators(family: str, deck_size: int) -> tuple[Permutation, Permuta
     return shuffle_permutation(a, deck_size), shuffle_permutation(b, deck_size)
 
 
-def compute_order(
-    generators: Sequence, engine: str = "auto", cap: int = DEFAULT_CAP
-) -> tuple[str, int]:
+def compute_group(generators: Sequence, engine: str = "auto", cap: int = DEFAULT_CAP):
     """The package's one engine policy: the engine that answered and the
-    exact order of the generated group.
+    generated group, which has its exact ``order`` and ``p in group``.
 
     Every ``engine="auto"`` in the package (:func:`group_order`,
-    :func:`verify_deck_size`, :func:`pair_kernel_order`, the command line)
-    means :func:`unshuffle.bsgs._affine_group` on 2^k points, then
-    :func:`unshuffle.bsgs._certified_order`, and the stabilizer chain
+    :func:`group_contains`, :func:`verify_deck_size`,
+    :func:`pair_kernel_order`, the command line) means
+    :func:`unshuffle.bsgs._affine_group` on 2^k points, then
+    :func:`unshuffle.bsgs._certified_group`, and the stabilizer chain
     where both give None; all three are exact, and the first two answer
     at any scale.  ``schreier`` forces the chain, and ``bfs`` runs the
     enumeration, the independent check, which raises
@@ -79,34 +74,29 @@ def compute_order(
     Any other engine is a ValueError.
     """
     if engine == "auto":
-        affine = _affine_group(generators)
-        if affine is not None:
-            return "affine", affine.order
-        order = _certified_order(generators)
-        if order is not None:
-            return "certificate", order
+        group = _affine_group(generators)
+        if group is not None:
+            return "affine", group
+        group = _certified_group(generators)
+        if group is not None:
+            return "certificate", group
         engine = "schreier"
     if engine == "schreier":
-        return engine, StabilizerChain(generators).order
+        return engine, StabilizerChain(generators)
     if engine == "bfs":
-        return engine, bfs_enumerate(generators, cap).order
+        return engine, bfs_enumerate(generators, cap)
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def group_contains(generators: Sequence, p) -> bool:
-    """Whether the generated group contains p: the affine test of
-    :func:`unshuffle.bsgs._affine_group` when every generator passes it,
-    else a sift through a :class:`StabilizerChain`."""
-    affine = _affine_group(generators)
-    if affine is not None:
-        return affine.contains(p)
-    return StabilizerChain(generators).contains(p)
+    """Whether the generated group contains p; see :func:`compute_group`."""
+    return p in compute_group(generators)[1]
 
 
 def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
     """Order of the generated group by the requested engine; see
-    :func:`compute_order`."""
-    return compute_order(generators, engine, cap)[1]
+    :func:`compute_group`."""
+    return compute_group(generators, engine, cap)[1].order
 
 
 def power_of_two_exponent(m: int) -> int | None:
@@ -188,6 +178,8 @@ def parity_row(n: int) -> tuple[int, int, int, int]:
     return _PARITY_ROWS[n % 4]
 
 
+# kept for the last deck size, so both families' records there share it
+@lru_cache(maxsize=1)
 def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
     left, right = family_generators("unshuffle", deck_size)
     return (left.parity(), right.parity(), left.pair_parity(), right.pair_parity())
@@ -207,16 +199,16 @@ def pair_kernel_order(generators, group_order: int | None = None) -> int:
     """Order of the kernel of the pair action on the generated group.
 
     Computed as |G| / |image| by the first isomorphism theorem.  Each
-    order comes from :func:`compute_order`'s ``auto``: the giant-image
-    certificate, or a stabilizer chain where the certificate gives none
-    (the image at n < 8, for example); pass ``group_order`` if |G| is
-    already known.
+    order comes from :func:`compute_group`'s ``auto``: the affine engine
+    on 2^k points, the giant-image certificate, or a stabilizer chain
+    where neither answers (the image at n < 8, for example); pass
+    ``group_order`` if |G| is already known.
     """
     gens = list(generators)
     if group_order is None:
-        group_order = compute_order(gens)[1]
+        group_order = compute_group(gens)[1].order
     images = [g.pair_permutation() for g in gens]
-    image_order = compute_order(images)[1]
+    image_order = compute_group(images)[1].order
     if group_order % image_order:
         raise ValueError("group order is not divisible by pair-image order")
     return group_order // image_order
@@ -398,20 +390,20 @@ def verify_deck_size(
     predicted one, the computed signs with :func:`parity_row`, and, where
     the kernel is computed (the unshuffle family wherever
     :func:`kernel_rule_applies`), its order with the predicted one.  The
-    engine is :func:`compute_order`'s; ``engine_used`` names the one
+    engine is :func:`compute_group`'s; ``engine_used`` names the one
     that answered.  The prediction only supplies the expected value, never
     the engine.  A forced ``bfs`` run past the cap or the byte limit
     (more than 255 cards) raises :class:`unshuffle.bsgs.EnumerationCapExceeded`,
-    as :func:`compute_order` does, so a sweep stops at its first such record.
+    as :func:`compute_group` does, so a sweep stops at its first such record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    engine_used, computed = compute_order(gens, engine, cap)
+    engine_used, group = compute_group(gens, engine, cap)
 
     n = deck_size // 2
     kernel_computed = kernel_predicted = None
     if family == "unshuffle" and kernel_rule_applies(n):
-        kernel_computed = pair_kernel_order(gens, group_order=computed)
+        kernel_computed = pair_kernel_order(gens, group_order=group.order)
         kernel_predicted = predicted_kernel_order(n)
 
     parities = computed_parity_row(deck_size)
@@ -419,11 +411,11 @@ def verify_deck_size(
         two_n=deck_size,
         family=family,
         engine_used=engine_used,
-        computed_order=computed,
+        computed_order=group.order,
         predicted_order=prediction.order,
         predicted_order_factored=prediction.order_factored,
         match=(
-            computed == prediction.order
+            group.order == prediction.order
             and parities == parity_row(n)
             and kernel_computed == kernel_predicted
         ),

@@ -16,14 +16,14 @@ from unshuffle.bsgs import (
     StabilizerChain,
     _affine_form,
     _affine_group,
-    _certified_order,
-    _order_bound,
+    _certified_group,
+    _SignGroup,
     bfs_enumerate,
 )
 from unshuffle.elmsley import binary_shuffle_image, bits_index, index_bits
 from unshuffle.groups import (
     FAMILIES,
-    compute_order,
+    compute_group,
     family_generators,
     group_contains,
     group_order,
@@ -35,6 +35,16 @@ from unshuffle.shuffles import shuffle_permutation, word_permutation
 
 S3_GENS = [Permutation([1, 0, 2]), Permutation([0, 2, 1])]
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1])]
+
+
+def engine_and_order(gens):
+    engine, group = compute_group(gens)
+    return engine, group.order
+
+
+def certified_order(gens):
+    group = _certified_group(gens)
+    return None if group is None else group.order
 
 
 def symmetric_gens(n):
@@ -318,27 +328,27 @@ class TestOrderBound:
     def test_equals_prediction_off_special_sizes(self, family):
         for size in range(4, 81, 2):
             if size not in SPECIAL_SIZES:
-                bound = _order_bound(family_generators(family, size))
+                bound = _SignGroup(family_generators(family, size)).order
                 assert bound == predict_group(family, size).order, size
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     @pytest.mark.parametrize("size", SPECIAL_SIZES)
     def test_exceeds_prediction_at_special_sizes(self, family, size):
-        assert _order_bound(family_generators(family, size)) > predict_group(family, size).order
+        assert _SignGroup(family_generators(family, size)).order > predict_group(family, size).order
 
     def test_arbitrary_generators(self):
-        assert _order_bound(symmetric_gens(6)) == math.factorial(6)
-        assert _order_bound(A4_GENS) == 12
+        assert _SignGroup(symmetric_gens(6)).order == math.factorial(6)
+        assert _SignGroup(A4_GENS).order == 12
         # odd degree, and the reversal of 2 points (degree below 4)
-        assert _order_bound([Permutation([1, 2, 0])]) == 3
-        assert _order_bound([Permutation([1, 0])]) == 2
+        assert _SignGroup([Permutation([1, 2, 0])]).order == 3
+        assert _SignGroup([Permutation([1, 0])]).order == 2
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_pair_images(self, family):
         # at 2n = 52 a pair sign is -1, so S_26; at 56 both are +1, so A_28
         for size, bound in ((52, math.factorial(26)), (56, math.factorial(28) // 2)):
             images = [g.pair_permutation() for g in family_generators(family, size)]
-            assert _order_bound(images) == bound
+            assert _SignGroup(images).order == bound
             assert StabilizerChain(images).order == bound
 
 
@@ -348,7 +358,7 @@ class TestCertificate:
         # a witness turns up at every even 2n in [4, 400] except 2n <= 16,
         # 24 and the powers of two, where the groups fall short of the bound
         for size in range(4, 401, 2):
-            order = _certified_order(family_generators(family, size))
+            order = certified_order(family_generators(family, size))
             if size <= 16 or size == 24 or power_of_two_exponent(size) is not None:
                 assert order is None, size
             else:
@@ -357,9 +367,9 @@ class TestCertificate:
     @given(certifiable_sets())
     @settings(max_examples=60, deadline=None)
     def test_matches_forced_chain(self, gens):
-        order = _certified_order(gens)
+        order = certified_order(gens)
         if order is not None:
-            assert order == StabilizerChain(gens).order == _order_bound(gens)
+            assert order == StabilizerChain(gens).order == _SignGroup(gens).order
 
     def test_answers_exactly_when_the_bound_is_reached(self):
         # the property above is not vacuous: random pairs of generators at
@@ -372,8 +382,8 @@ class TestCertificate:
             points = [Permutation(rng.sample(range(16), 16)) for _ in range(2)]
             pairs = [random_centrally_symmetric(rng, 12) for _ in range(2)]
             for gens in (points, pairs):
-                order, chain = _certified_order(gens), StabilizerChain(gens)
-                if chain.order == _order_bound(gens):
+                order, chain = certified_order(gens), StabilizerChain(gens)
+                if chain.order == _SignGroup(gens).order:
                     assert order == chain.order
                     answered += 1
                 else:
@@ -384,7 +394,7 @@ class TestCertificate:
         # primitive on 8 points with 7-cycles, but 7 > 8 - 3 and the group
         # has no element of order 5, so Jordan's theorem gives nothing
         gens = psl27_on_projective_line()
-        assert _certified_order(gens) is None
+        assert certified_order(gens) is None
         assert StabilizerChain(gens).order == 168
 
     def test_diagonal_symmetric_group_has_no_kernel_witness(self):
@@ -395,7 +405,7 @@ class TestCertificate:
             symmetric_lift([1, 0] + list(range(2, n)), (), n),
             symmetric_lift(list(range(1, n)) + [0], (), n),
         ]
-        assert _certified_order(gens) is None
+        assert certified_order(gens) is None
         assert StabilizerChain(gens).order == math.factorial(n)
 
     def test_intransitive_pair_image(self):
@@ -408,20 +418,75 @@ class TestCertificate:
             symmetric_lift(list(range(1, 8)) + [0] + fixed, (), n),
             symmetric_lift(list(range(n)), (0,), n),
         ]
-        assert _certified_order(gens) is None
+        assert certified_order(gens) is None
         assert StabilizerChain(gens).order == math.factorial(8) * 2**8
 
     def test_trivial_and_tiny_groups(self):
-        assert _certified_order([Permutation.identity(9)]) is None
-        assert _certified_order(symmetric_gens(7)) is None  # no prime in (3.5, 4]
-        assert _certified_order(symmetric_gens(8)) == math.factorial(8)
-        assert _certified_order(A4_GENS) is None
+        assert certified_order([Permutation.identity(9)]) is None
+        assert certified_order(symmetric_gens(7)) is None  # no prime in (3.5, 4]
+        assert certified_order(symmetric_gens(8)) == math.factorial(8)
+        assert certified_order(A4_GENS) is None
 
     def test_global_random_state_untouched(self):
         state = random.getstate()
-        _certified_order(family_generators("unshuffle", 52))
-        _certified_order(family_generators("perfect", 32))
+        certified_order(family_generators("unshuffle", 52))
+        certified_order(family_generators("perfect", 32))
         assert random.getstate() == state
+
+
+# even sizes in [18, 60] where both shuffle groups are certified
+CERTIFIED_SIZES = [d for d in range(18, 61, 2) if d != 24 and power_of_two_exponent(d) is None]
+
+
+class TestCertifiedMembership:
+    def test_matches_chain_on_shuffle_groups(self):
+        # certified membership is central symmetry and the trivial sign
+        # characters, with no chain; the chain sifts the same candidates
+        rng = random.Random(18)
+        verdicts = []
+        for size in CERTIFIED_SIZES:
+            for family in FAMILIES:
+                gens = family_generators(family, size)
+                engine, group = compute_group(gens)
+                assert engine == "certificate", (size, family)
+                chain = StabilizerChain(gens)
+                symmetric = [random_centrally_symmetric(rng, size // 2) for _ in range(36)]
+                arbitrary = [Permutation(rng.sample(range(size), size)) for _ in range(10)]
+                for p in symmetric + arbitrary:
+                    verdicts.append(p in group)
+                    assert verdicts[-1] == chain.contains(p), (size, family, p)
+        # both verdicts occur often: every family keeps a half or a quarter
+        # of B_n at least, and random permutations are almost never in it
+        assert 0.4 * len(verdicts) < sum(verdicts) < 0.7 * len(verdicts)
+
+    def test_symmetric_group_on_points(self):
+        gens = symmetric_gens(8)
+        group = _certified_group(gens)
+        assert not group.paired and group.order == math.factorial(8)
+        rng = random.Random(8)
+        candidates = [Permutation(rng.sample(range(8), 8)) for _ in range(20)]
+        assert {p.parity() for p in candidates} == {1, -1}
+        assert all(p in group for p in candidates)
+
+    def test_alternating_group_on_points(self):
+        # a 3-cycle and a 9-cycle, both even, generate A_9
+        gens = [Permutation.from_cycle_text("(0 1 2)", 9), Permutation(list(range(1, 9)) + [0])]
+        group = _certified_group(gens)
+        assert group.order == math.factorial(9) // 2
+        chain = StabilizerChain(gens)
+        rng = random.Random(9)
+        candidates = [Permutation(rng.sample(range(9), 9)) for _ in range(20)]
+        assert {p.parity() for p in candidates} == {1, -1}
+        for p in candidates:
+            assert (p in group) == (p.parity() == 1) == chain.contains(p)
+
+    def test_degree_mismatch(self):
+        for gens in (family_generators("perfect", 18), symmetric_gens(8)):
+            group = _certified_group(gens)
+            d = gens[0].degree
+            assert Permutation.identity(d) in group
+            assert Permutation.identity(d - 1) not in group
+            assert Permutation.identity(d + 2) not in group
 
 
 def affine_image(form, k, x):
@@ -471,10 +536,10 @@ class TestAffine:
         transposition = Permutation.from_cycle_text("(0 1)", 16)
         gens = [*family_generators("unshuffle", 16), transposition]
         assert _affine_group(gens) is None
-        assert compute_order(gens) == ("certificate", math.factorial(16))
+        assert engine_and_order(gens) == ("certificate", math.factorial(16))
         gens = [shuffle_permutation("L", 32), Permutation.from_cycle_text("(0 1)", 32)]
         assert _affine_group(gens) is None
-        assert compute_order(gens) == ("schreier", StabilizerChain(gens).order)
+        assert engine_and_order(gens) == ("schreier", StabilizerChain(gens).order)
         assert StabilizerChain(gens).order == sympy_order(gens)
 
     def test_only_powers_of_two(self):
@@ -487,8 +552,8 @@ class TestAffine:
     def test_mixed_and_identity_generators(self, k):
         d = 2**k
         mixed = [shuffle_permutation(x, d) for x in "LI"]
-        assert compute_order(mixed) == ("affine", StabilizerChain(mixed).order)
-        assert compute_order([Permutation.identity(d)]) == ("affine", 1)
+        assert engine_and_order(mixed) == ("affine", StabilizerChain(mixed).order)
+        assert engine_and_order([Permutation.identity(d)]) == ("affine", 1)
         assert not group_contains([Permutation.identity(d)], mixed[0])
         assert group_contains([Permutation.identity(d)], Permutation.identity(d))
 
@@ -519,7 +584,7 @@ class TestAffine:
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_a_million_cards(self, family):
         gens = family_generators(family, 2**20)
-        assert compute_order(gens) == ("affine", 20 * 2**20)
+        assert engine_and_order(gens) == ("affine", 20 * 2**20)
 
 
 class TestFallback:
@@ -529,7 +594,7 @@ class TestFallback:
         gens = family_generators(family, size)
         chain = StabilizerChain(gens)
         order = predict_group(family, size).order
-        assert chain.order == order < _order_bound(gens)
+        assert chain.order == order < _SignGroup(gens).order
         rng = random.Random(size)
         letters = FAMILIES[family]
         members = [word_permutation("".join(rng.choices(letters, k=12)), size) for _ in range(8)]
@@ -548,7 +613,7 @@ class TestFallback:
         raws = [g.image for g in family_generators("unshuffle", 24)]
         chain = StabilizerChain(raws)
         chain._start(raws)
-        assert not chain._random_fill(raws, _order_bound(raws))
+        assert not chain._random_fill(raws, _SignGroup(raws).order)
 
     @given(st.randoms(use_true_random=False), st.integers(2, 8), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)

@@ -354,6 +354,24 @@ class TestGroupMember:
         _, out, _ = run_cli("group-member", "--deck", 4096, "--gens", "IO", "--perm", "(0 4095)")
         assert out == "false\n"
 
+    @pytest.mark.parametrize("gens", ["LR", "IO"])
+    def test_certified_size_needs_no_chain(self, run_cli, monkeypatch, gens):
+        # a chain on 10002 points would need gigabytes; the certificate
+        # answers by central symmetry and the trivial sign characters
+        def no_chain(*args):
+            raise AssertionError("a certified deck built a chain")
+
+        monkeypatch.setattr(groups, "StabilizerChain", no_chain)
+        args = ("group-member", "--deck", 10002, "--gens", gens, "--perm")
+        assert run_cli(*args, "(0 10001)") == (0, "true\n", "")
+        assert run_cli(*args, "(0 1)") == (0, "false\n", "")
+
+    def test_identity_generators(self, run_cli):
+        # off 2^k no witness exists for the trivial group, so a chain answers
+        assert run_cli("group-order", "--deck", 10, "--gens", "VV")[1] == "1\n"
+        assert run_cli("group-member", "--deck", 10, "--gens", "VV", "--perm", "()")[1] == "true\n"
+        assert run_cli("group-member", "--deck", 10, "--gens", "VV", "--perm", "(0 9)")[1] == "false\n"
+
     def test_degree_mismatch(self, run_cli):
         code, _, err = run_cli("group-member", "--deck", 6, "--perm", "1,0")
         assert code == 2

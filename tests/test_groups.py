@@ -137,6 +137,13 @@ class TestParities:
     def test_computed_matches_predicted(self, n):
         assert computed_parity_row(2 * n) == parity_row(n)
 
+    def test_computed_once_per_size_in_a_sweep(self):
+        # both families' records at one size share the computed row
+        computed_parity_row.cache_clear()
+        verify_deck_sizes([18, 20, 22])
+        info = computed_parity_row.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
+
 
 class TestKernel:
     def test_rule_applicability(self):
