@@ -17,8 +17,8 @@ or prove the group without either:
   :class:`_SignGroup` with a seeded witness: a giant (A_m or S_m) action
   on the mirror pairs or the points, by Jordan's theorem, and for
   centrally symmetric generators one flip pattern that is not constant.
-  Each random element and each membership test costs O(d), so it answers
-  at thousands of cards where a chain would need gigabytes.  It gives
+  A sample costs one O(d) cycle walk, as does a membership test, so it
+  answers at thousands of cards where a chain would need gigabytes.  It gives
   None where no witness exists (the shuffle groups at 2n <= 16, 24 and
   2^k, intransitive or imprimitive groups, small degrees).
 
@@ -61,7 +61,7 @@ import operator
 import random
 from collections.abc import Iterable, Iterator, Mapping
 
-from .perm import Permutation, _compose, _invert, _wrap
+from .perm import Permutation, _compose, _cycle_type, _invert, _wrap
 
 DEFAULT_CAP = 10_000_000
 BFS_MAX_DEGREE = 255
@@ -189,54 +189,35 @@ class _SignGroup:
 
     __slots__ = ("degree", "paired", "characters", "order")
 
-    def __init__(self, generators):
-        perms = [_wrap(_raw(g)) for g in generators]
-        d = self.degree = perms[0].degree
-        self.paired = d >= 4 and all(p.is_centrally_symmetric() for p in perms)
+    def __init__(self, raws: list[tuple[int, ...]]):
+        # raws are the nonempty image tuples of _normalize, already checked
+        d = self.degree = len(raws[0])
+        self.paired = d >= 4 and all(_wrap(g).is_centrally_symmetric() for g in raws)
         if self.paired:
             self.characters, size = ((1, 0), (0, 1), (1, 1)), math.factorial(d // 2) << d // 2
         else:
             self.characters, size = ((1, 0),) if d >= 2 else (), math.factorial(d)
-        for p in perms:
-            self.characters = self._trivial(p)
+        for g in raws:
+            self.characters = self._trivial(g)
         self.order = size // (1 + len(self.characters))
 
-    def _trivial(self, p: Permutation) -> tuple[tuple[int, int], ...]:
-        # the characters kept so far that are +1 on p
-        s, t = p.parity(), p.pair_parity() if self.paired else 1
-        return tuple((a, b) for a, b in self.characters if s**a * t**b == 1)
+    def _trivial(self, g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        # the characters kept so far that are +1 on g: with c cycles, f of them
+        # mirrored, sign^a * pair sign^b is (-1)^(a(d-c) + b(d-c-f)/2)
+        cycles = _cycle_type(g)
+        s = len(g) - len(cycles)
+        t = (s - sum(mirrored for _, mirrored in cycles)) // 2
+        return tuple((a, b) for a, b in self.characters if (a * s + b * t) % 2 == 0)
 
     def __contains__(self, p) -> bool:
-        p = _wrap(_raw(p))
-        if p.degree != self.degree or (self.paired and not p.is_centrally_symmetric()):
+        raw = _raw(p)
+        if len(raw) != self.degree or (self.paired and not _wrap(raw).is_centrally_symmetric()):
             return False
-        return self._trivial(p) == self.characters
+        return self._trivial(raw) == self.characters
 
 
 def _is_prime(k: int) -> bool:
     return k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1))
-
-
-def _home_cycles(g: tuple[int, ...], m: int) -> list[tuple[int, bool]]:
-    # the cycles of g on m homes: the points when m = d, else the mirror
-    # pairs, pair x < m standing for {x, d-1-x}.  Each cycle is given as
-    # its length and whether g^length sends its first point to the mirror.
-    d = len(g)
-    seen = bytearray(m)
-    cycles = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        x, length = start, 0
-        while True:
-            x = g[x]
-            length += 1
-            home = x if x < m else d - 1 - x
-            if home == start:
-                break
-            seen[home] = 1
-        cycles.append((length, x != start))
-    return cycles
 
 
 def _certified_group(generators) -> _SignGroup | None:
@@ -267,7 +248,10 @@ def _certified_group(generators) -> _SignGroup | None:
     through H, which contains A_n (n >= 8 here).  For a sample g whose
     pair image has order r, g^r lies in K: on each pair cycle of length l
     it flips every pair of the cycle exactly when g^l flips the cycle's
-    first pair and r/l is odd, so it takes O(d) to read off.  Suppose one
+    first pair and r/l is odd.  g commutes with the mirror, so a cycle of
+    g that holds its first point's mirror is a pair cycle of half its
+    length that g^l flips, and any other, with its mirror twin, is one of
+    its own length that g^l fixes; one O(d) walk reads them.  Suppose one
     such vector v is not constant, with v_i = 1 and v_j = 0.  Two of the
     other n-2 >= 3 coordinates agree, say k and l, so the double
     transposition (i j)(k l) in A_n sends v to v + e_i + e_j, and K holds
@@ -309,7 +293,9 @@ def _certified_group(generators) -> _SignGroup | None:
     giant, kernel = False, not bound.paired
     elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
     for g in itertools.islice(elements, _CERTIFICATE_SAMPLES):
-        cycles = _home_cycles(g, m)
+        cycles = _cycle_type(g)
+        if bound.paired:
+            cycles = [(length // 2, True) if flip else (length, False) for length, flip in cycles]
         giant = giant or any(
             m < 2 * length <= 2 * m - 6 and _is_prime(length) for length, _ in cycles
         )

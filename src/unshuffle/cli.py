@@ -17,6 +17,7 @@ from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enum
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
+    _write_report,
     compute_group,
     decimal_text,
     family_generators,
@@ -24,7 +25,6 @@ from .groups import (
     power_of_two_exponent,
     predict_group,
     verify_deck_sizes,
-    write_report,
 )
 from .perm import Permutation
 from .shuffles import (
@@ -185,13 +185,13 @@ def _cmd_verify(args):
     check_deck_size(sizes[0])
     check_deck_size(sizes[-1])
     records = verify_deck_sizes(sizes, engine=args.engine, cap=args.cap)
+    payload = [r.to_fields() for r in records]
     if args.out:
         try:
-            write_report(records, args.out)
+            _write_report(payload, args.out)
         except OSError as exc:
             raise ValueError(f"cannot write report: {exc}") from exc
     matches = sum(r.match for r in records)
-    payload = [r.to_fields() for r in records]
     lines = [*map(_record_line, payload), f"{len(records)} records, {matches} match"]
     return OK if matches == len(records) else MISMATCH, payload, lines
 

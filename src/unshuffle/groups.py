@@ -439,13 +439,22 @@ def verify_deck_sizes(
 
 
 def records_to_json(records) -> str:
-    records = list(records)
-    if not records:
-        raise ValueError("no verification records to serialize")
-    return json.dumps([r.to_fields() for r in records], indent=2) + "\n"
+    return _report_json([r.to_fields() for r in records])
 
 
 def write_report(records, path) -> None:
-    text = records_to_json(records)
+    _write_report([r.to_fields() for r in records], path)
+
+
+def _report_json(fields: list[dict]) -> str:
+    # the report's one JSON layout, over VerificationRecord.to_fields dicts
+    if not fields:
+        raise ValueError("no verification records to serialize")
+    return json.dumps(fields, indent=2) + "\n"
+
+
+def _write_report(fields: list[dict], path) -> None:
+    # the verify command passes the fields it prints: each record renders once
+    text = _report_json(fields)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -103,43 +103,17 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        out = 1
-        seen = [False] * len(self.image)
-        for start in range(len(self.image)):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-                length += 1
-            out = math.lcm(out, length)
-        return out
+        return math.lcm(*(length for length, _ in _cycle_type(self.image)))
 
     def parity(self) -> int:
         """+1 for even, -1 for odd."""
-        cycle_count = 0
-        seen = [False] * len(self.image)
-        for start in range(len(self.image)):
-            if seen[start]:
-                continue
-            cycle_count += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j]
-        return 1 if (len(self.image) - cycle_count) % 2 == 0 else -1
+        return -1 if (len(self.image) - len(_cycle_type(self.image))) % 2 else 1
 
     def is_centrally_symmetric(self) -> bool:
         """True when mirror positions stay mirrored: i + j = d-1 implies
         image[i] + image[j] = d-1.  Only even degrees qualify."""
-        d = len(self.image)
-        if d % 2:
-            return False
-        last = d - 1
-        img = self.image
-        return all(img[i] + img[last - i] == last for i in range(d // 2))
+        img, last = self.image, len(self.image) - 1
+        return last % 2 == 1 and all(img[i] + img[last - i] == last for i in range(len(img) // 2))
 
     def pair_permutation(self) -> "Permutation":
         """Collapse a centrally symmetric permutation of 2n points to its
@@ -147,11 +121,18 @@ class Permutation:
         element in each pair."""
         if not self.is_centrally_symmetric():
             raise ValueError("pair action requires a centrally symmetric permutation")
-        d = len(self.image)
-        return Permutation(min(x, d - 1 - x) for x in self.image[: d // 2])
+        # image[d-1-i] = d-1-image[i], so the pair of i goes to the smaller one
+        n = len(self.image) // 2
+        return _wrap(tuple(map(min, self.image[:n], self.image[: n - 1 : -1])))
 
     def pair_parity(self) -> int:
-        return self.pair_permutation().parity()
+        """The sign of :meth:`pair_permutation`.  A pair cycle is one
+        mirrored cycle or two mirror twins, so with c cycles, f of them
+        mirrored, there are (c + f) / 2 pair cycles of the d / 2 pairs."""
+        if not self.is_centrally_symmetric():
+            raise ValueError("pair action requires a centrally symmetric permutation")
+        cycles = _cycle_type(self.image)
+        return -1 if (len(self.image) - len(cycles) - sum(f for _, f in cycles)) // 2 % 2 else 1
 
     def arrangement(self) -> tuple[int, ...]:
         """Card labels top to bottom after applying this shuffle to a sorted
@@ -205,6 +186,28 @@ def _wrap(img: tuple[int, ...]) -> Permutation:
     p = object.__new__(Permutation)
     object.__setattr__(p, "image", img)
     return p
+
+
+def _cycle_type(image: tuple[int, ...]) -> list[tuple[int, bool]]:
+    # (length, mirrored) for every cycle of image, fixed points included,
+    # by first point x; mirrored when the cycle holds x's mirror d-1-x, that
+    # is, when the mirror is seen after the walk but not before it.  The
+    # one walk for order, sign, pair sign and the certificate.
+    last = len(image) - 1
+    seen = [False] * len(image)
+    out = []
+    for start in range(len(image)):
+        if seen[start]:
+            continue
+        before = seen[last - start]
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = image[j]
+            length += 1
+        out.append((length, not before and seen[last - start]))
+    return out
 
 
 # The package's one composition kernel and one inverse, on raw image tuples

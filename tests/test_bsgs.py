@@ -47,6 +47,11 @@ def certified_order(gens):
     return None if group is None else group.order
 
 
+def sign_bound(gens):
+    # _SignGroup takes the image tuples that _normalize produces
+    return _SignGroup([g.image for g in gens]).order
+
+
 def symmetric_gens(n):
     cycle = Permutation(list(range(1, n)) + [0])
     swap = Permutation([1, 0] + list(range(2, n)))
@@ -328,27 +333,27 @@ class TestOrderBound:
     def test_equals_prediction_off_special_sizes(self, family):
         for size in range(4, 81, 2):
             if size not in SPECIAL_SIZES:
-                bound = _SignGroup(family_generators(family, size)).order
+                bound = sign_bound(family_generators(family, size))
                 assert bound == predict_group(family, size).order, size
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     @pytest.mark.parametrize("size", SPECIAL_SIZES)
     def test_exceeds_prediction_at_special_sizes(self, family, size):
-        assert _SignGroup(family_generators(family, size)).order > predict_group(family, size).order
+        assert sign_bound(family_generators(family, size)) > predict_group(family, size).order
 
     def test_arbitrary_generators(self):
-        assert _SignGroup(symmetric_gens(6)).order == math.factorial(6)
-        assert _SignGroup(A4_GENS).order == 12
+        assert sign_bound(symmetric_gens(6)) == math.factorial(6)
+        assert sign_bound(A4_GENS) == 12
         # odd degree, and the reversal of 2 points (degree below 4)
-        assert _SignGroup([Permutation([1, 2, 0])]).order == 3
-        assert _SignGroup([Permutation([1, 0])]).order == 2
+        assert sign_bound([Permutation([1, 2, 0])]) == 3
+        assert sign_bound([Permutation([1, 0])]) == 2
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_pair_images(self, family):
         # at 2n = 52 a pair sign is -1, so S_26; at 56 both are +1, so A_28
         for size, bound in ((52, math.factorial(26)), (56, math.factorial(28) // 2)):
             images = [g.pair_permutation() for g in family_generators(family, size)]
-            assert _SignGroup(images).order == bound
+            assert sign_bound(images) == bound
             assert StabilizerChain(images).order == bound
 
 
@@ -369,7 +374,7 @@ class TestCertificate:
     def test_matches_forced_chain(self, gens):
         order = certified_order(gens)
         if order is not None:
-            assert order == StabilizerChain(gens).order == _SignGroup(gens).order
+            assert order == StabilizerChain(gens).order == sign_bound(gens)
 
     def test_answers_exactly_when_the_bound_is_reached(self):
         # the property above is not vacuous: random pairs of generators at
@@ -383,7 +388,7 @@ class TestCertificate:
             pairs = [random_centrally_symmetric(rng, 12) for _ in range(2)]
             for gens in (points, pairs):
                 order, chain = certified_order(gens), StabilizerChain(gens)
-                if chain.order == _SignGroup(gens).order:
+                if chain.order == sign_bound(gens):
                     assert order == chain.order
                     answered += 1
                 else:
@@ -407,6 +412,20 @@ class TestCertificate:
         ]
         assert certified_order(gens) is None
         assert StabilizerChain(gens).order == math.factorial(n)
+
+    def test_diagonal_symmetric_group_with_the_mirror_has_no_kernel_witness(self):
+        # S_10 x <mirror>: g = (s, flip all) flips exactly the pair cycles
+        # of odd length l, as a point cycle of length 2l, so every g^r is
+        # constant.  Reading such a cycle as a pair cycle of length 2l, not
+        # l, would make g^r flip the odd cycles and fix the even ones
+        n = 10
+        gens = [
+            symmetric_lift([1, 0] + list(range(2, n)), (), n),
+            symmetric_lift(list(range(1, n)) + [0], (), n),
+            symmetric_lift(list(range(n)), range(n), n),
+        ]
+        assert certified_order(gens) is None
+        assert StabilizerChain(gens).order == 2 * math.factorial(n)
 
     def test_intransitive_pair_image(self):
         # B_8 on the first 8 of 9 pairs: 5-cycles and non-constant kernel
@@ -594,7 +613,7 @@ class TestFallback:
         gens = family_generators(family, size)
         chain = StabilizerChain(gens)
         order = predict_group(family, size).order
-        assert chain.order == order < _SignGroup(gens).order
+        assert chain.order == order < sign_bound(gens)
         rng = random.Random(size)
         letters = FAMILIES[family]
         members = [word_permutation("".join(rng.choices(letters, k=12)), size) for _ in range(8)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.perm import Permutation, random_centrally_symmetric
+from unshuffle.perm import Permutation, _cycle_type, random_centrally_symmetric
 
 
 def perms(max_degree=30):
@@ -146,6 +146,48 @@ class TestCyclesAndOrder:
         assert p.order() == math.lcm(*lengths) if lengths else p.order() == 1
 
 
+def brute_cycle_type(image):
+    # every cycle as a point set, found by applying image until it returns,
+    # by smallest point, with whether the set holds that point's mirror
+    d = len(image)
+    cycles = {}
+    for x in range(d):
+        cycle, y = {x}, image[x]
+        while y != x:
+            cycle.add(y)
+            y = image[y]
+        cycles[min(cycle)] = cycle
+    return [(len(c), d - 1 - first in c) for first, c in sorted(cycles.items())]
+
+
+class TestCycleType:
+    def test_two_points(self):
+        assert _cycle_type((0, 1)) == [(1, False), (1, False)]
+        assert _cycle_type((1, 0)) == [(2, True)]
+
+    def test_middle_point_is_its_own_mirror(self):
+        assert _cycle_type((0,)) == [(1, True)]
+        assert _cycle_type((2, 1, 0)) == [(2, True), (1, True)]
+
+    def test_mostly_fixed_points(self):
+        image = list(range(50))
+        image[3], image[46] = 46, 3  # a mirrored 2-cycle
+        image[5], image[7], image[9] = 7, 9, 5  # an unmirrored 3-cycle
+        expected = brute_cycle_type(image)
+        assert _cycle_type(tuple(image)) == expected
+        assert len(expected) == 50 - 1 - 2
+        assert sorted(expected, reverse=True)[:2] == [(3, False), (2, True)]
+
+    @given(perms(max_degree=60))
+    def test_matches_brute_force(self, p):
+        assert _cycle_type(p.image) == brute_cycle_type(p.image)
+
+    @given(symmetric_pairs(max_n=30))
+    def test_matches_brute_force_on_symmetric(self, pq):
+        for p in pq:
+            assert _cycle_type(p.image) == brute_cycle_type(p.image)
+
+
 class TestParity:
     def test_parity_frozen(self):
         assert Permutation.identity(6).parity() == 1
@@ -179,6 +221,28 @@ class TestCentralSymmetry:
     def test_pair_permutation_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             Permutation([1, 0, 2, 3]).pair_permutation()
+
+    def test_pair_parity_frozen(self):
+        # pair images (2, 0, 1), a 3-cycle; (0, 1); (1, 0); and (0,)
+        assert Permutation([2, 5, 1, 4, 0, 3]).pair_parity() == 1
+        assert Permutation([3, 2, 1, 0]).pair_parity() == 1
+        assert Permutation([1, 0, 3, 2]).pair_parity() == -1
+        assert Permutation([1, 0]).pair_parity() == 1
+        # one flipped pair: an odd permutation whose pair action is trivial
+        flip = Permutation([3, 1, 2, 0])
+        assert (flip.parity(), flip.pair_parity()) == (-1, 1)
+
+    def test_pair_parity_is_sign_of_pair_permutation(self):
+        rng = random.Random(14)
+        for n in range(1, 61):
+            for _ in range(5):
+                p = random_centrally_symmetric(rng, n)
+                assert p.pair_parity() == p.pair_permutation().parity(), p
+
+    def test_pair_parity_rejects_asymmetric(self):
+        for image in ([1, 0, 2, 3], [1, 0, 2], [0]):
+            with pytest.raises(ValueError):
+                Permutation(image).pair_parity()
 
     @given(symmetric_pairs())
     def test_symmetric_permutations_closed_under_product(self, pq):
