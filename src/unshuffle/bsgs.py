@@ -61,7 +61,7 @@ import operator
 import random
 from collections.abc import Iterable, Iterator, Mapping
 
-from .perm import Permutation, _compose, _cycle_type, _invert, _wrap
+from .perm import Permutation, _compose, _cycle_type, _invert, _signs, _wrap
 
 DEFAULT_CAP = 10_000_000
 BFS_MAX_DEGREE = 255
@@ -202,12 +202,9 @@ class _SignGroup:
         self.order = size // (1 + len(self.characters))
 
     def _trivial(self, g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        # the characters kept so far that are +1 on g: with c cycles, f of them
-        # mirrored, sign^a * pair sign^b is (-1)^(a(d-c) + b(d-c-f)/2)
-        cycles = _cycle_type(g)
-        s = len(g) - len(cycles)
-        t = (s - sum(mirrored for _, mirrored in cycles)) // 2
-        return tuple((a, b) for a, b in self.characters if (a * s + b * t) % 2 == 0)
+        # the characters kept so far that are +1 on g
+        sign, pair_sign = _signs(g)
+        return tuple((a, b) for a, b in self.characters if sign**a * pair_sign**b == 1)
 
     def __contains__(self, p) -> bool:
         raw = _raw(p)

@@ -196,8 +196,8 @@ def _cmd_verify(args):
     return OK if matches == len(records) else MISMATCH, payload, lines
 
 
-def _add_deck(parser, required=True):
-    parser.add_argument("--deck", type=int, required=required, help="deck size (even)")
+def _add_deck(parser):
+    parser.add_argument("--deck", type=int, required=True, help="deck size (even)")
 
 
 def _positive_int(text: str) -> int:

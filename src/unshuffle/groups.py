@@ -12,10 +12,11 @@ prediction never picks the engine.
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
 (order n! * 2^n).  Collapsing a symmetric permutation to its action on the
-n pairs is a homomorphism; the sign of a shuffle and the sign of its pair
-action, tabulated by n mod 4, drive the classification, and the kernel of
-the pair action on <L, R> has order 2^(n-1) when n = 0 (mod 4) and 2^n
-otherwise (for n > 1, n not a power of two, n not 6 or 12).
+n pairs is a homomorphism.  The sign of a shuffle and the sign of its pair
+action drive the classification: ``_RESIDUES`` holds the signs, index and
+structure for each n mod 4.  The kernel of the pair action on <L, R> has
+order 2^(n-1) when n = 0 (mod 4) and 2^n otherwise (for n > 1, n not a
+power of two, n not 6 or 12).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .bsgs import (
     _certified_group,
     bfs_enumerate,
 )
-from .perm import Permutation
+from .perm import Permutation, _signs
 from .shuffles import (
     Step,
     Word,
@@ -105,6 +106,20 @@ def power_of_two_exponent(m: int) -> int | None:
     return None
 
 
+# The paper's classification of <L, R> off the special sizes, by n mod 4:
+# the predicted signs (L, R, pair action of L, pair action of R), log2 of
+# the group's index in the n! * 2^n centrally symmetric permutations, and
+# its structure, the subgroup that the sign characters trivial on L and R
+# cut out.  <I, O> is the same group except at n = 3 (mod 4), where it has
+# index 2: see predict_group.
+_RESIDUES = {
+    0: ((1, 1, 1, 1), 2, "intersection of the kernels of sign and pair sign"),
+    1: ((1, -1, 1, 1), 1, "kernel of pair sign"),
+    2: ((-1, -1, -1, 1), 0, "all centrally symmetric permutations"),
+    3: ((-1, 1, 1, -1), 0, "all centrally symmetric permutations"),
+}
+
+
 @dataclass(frozen=True)
 class GroupPrediction:
     family: str
@@ -119,8 +134,8 @@ def predict_group(family: str, deck_size: int) -> GroupPrediction:
     """Predicted order and structure of a shuffle group, no enumeration.
 
     Special deck sizes take precedence: 12, 24, then powers of two; every
-    other size routes by n mod 4.  Every even size lands in exactly one
-    case.
+    other size reads the row of ``_RESIDUES`` for n mod 4.  Every even size
+    lands in exactly one case.
     """
     check_deck_size(deck_size)
     if family not in FAMILIES:
@@ -142,47 +157,25 @@ def predict_group(family: str, deck_size: int) -> GroupPrediction:
         )
 
     residue = n % 4
-    if residue == 0:
-        order, factored = factorial(n) * 2 ** (n - 2), f"{n}!*2^{n - 2}"
-        what = "intersection of the kernels of sign and pair sign"
-    elif residue == 1:
-        order, factored = factorial(n) * 2 ** (n - 1), f"{n}!*2^{n - 1}"
-        what = "kernel of pair sign"
-    elif residue == 2:
-        order, factored = factorial(n) * 2**n, f"{n}!*2^{n}"
-        what = "all centrally symmetric permutations"
-    else:
-        if family == "unshuffle":
-            order, factored = factorial(n) * 2**n, f"{n}!*2^{n}"
-            what = "all centrally symmetric permutations"
-        else:
-            order, factored = factorial(n) * 2 ** (n - 1), f"{n}!*2^{n - 1}"
-            what = "kernel of sign times pair sign"
+    _, log_index, what = _RESIDUES[residue]
+    if family == "perfect" and residue == 3:
+        log_index, what = 1, "kernel of sign times pair sign"
+    order, factored = factorial(n) << (n - log_index), f"{n}!*2^{n - log_index}"
     return GroupPrediction(family, deck_size, f"mod{residue}", order, factored, what)
-
-
-# sign of L, sign of R, sign of pair action of L, sign of pair action of R,
-# keyed by n mod 4
-_PARITY_ROWS = {
-    0: (1, 1, 1, 1),
-    1: (1, -1, 1, 1),
-    2: (-1, -1, -1, 1),
-    3: (-1, 1, 1, -1),
-}
 
 
 def parity_row(n: int) -> tuple[int, int, int, int]:
     """Predicted signs (L, R, pair action of L, pair action of R)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _PARITY_ROWS[n % 4]
+    return _RESIDUES[n % 4][0]
 
 
 # kept for the last deck size, so both families' records there share it
 @lru_cache(maxsize=1)
 def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
-    left, right = family_generators("unshuffle", deck_size)
-    return (left.parity(), right.parity(), left.pair_parity(), right.pair_parity())
+    left, right = (_signs(g.image) for g in family_generators("unshuffle", deck_size))
+    return left[0], right[0], left[1], right[1]
 
 
 def kernel_rule_applies(n: int) -> bool:

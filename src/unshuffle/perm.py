@@ -107,7 +107,7 @@ class Permutation:
 
     def parity(self) -> int:
         """+1 for even, -1 for odd."""
-        return -1 if (len(self.image) - len(_cycle_type(self.image))) % 2 else 1
+        return _signs(self.image)[0]
 
     def is_centrally_symmetric(self) -> bool:
         """True when mirror positions stay mirrored: i + j = d-1 implies
@@ -126,13 +126,10 @@ class Permutation:
         return _wrap(tuple(map(min, self.image[:n], self.image[: n - 1 : -1])))
 
     def pair_parity(self) -> int:
-        """The sign of :meth:`pair_permutation`.  A pair cycle is one
-        mirrored cycle or two mirror twins, so with c cycles, f of them
-        mirrored, there are (c + f) / 2 pair cycles of the d / 2 pairs."""
+        """The sign of :meth:`pair_permutation`."""
         if not self.is_centrally_symmetric():
             raise ValueError("pair action requires a centrally symmetric permutation")
-        cycles = _cycle_type(self.image)
-        return -1 if (len(self.image) - len(cycles) - sum(f for _, f in cycles)) // 2 % 2 else 1
+        return _signs(self.image)[1]
 
     def arrangement(self) -> tuple[int, ...]:
         """Card labels top to bottom after applying this shuffle to a sorted
@@ -208,6 +205,17 @@ def _cycle_type(image: tuple[int, ...]) -> list[tuple[int, bool]]:
             length += 1
         out.append((length, not before and seen[last - start]))
     return out
+
+
+def _signs(image: tuple[int, ...]) -> tuple[int, int]:
+    # (sign, pair sign), each +1 or -1, from one walk.  With c cycles, f of
+    # them mirrored, the sign is (-1)^(d-c).  On a centrally symmetric image
+    # a pair cycle is one mirrored cycle or two mirror twins, so the d/2
+    # pairs make (c+f)/2 pair cycles and the pair sign is (-1)^((d-c-f)/2).
+    cycles = _cycle_type(image)
+    s = len(image) - len(cycles)
+    t = (s - sum(mirrored for _, mirrored in cycles)) // 2
+    return -1 if s % 2 else 1, -1 if t % 2 else 1
 
 
 # The package's one composition kernel and one inverse, on raw image tuples

@@ -348,6 +348,38 @@ class TestOrderBound:
         assert sign_bound([Permutation([1, 2, 0])]) == 3
         assert sign_bound([Permutation([1, 0])]) == 2
 
+    def test_keeps_the_characters_trivial_on_every_generator(self):
+        # (a, b) stands for sign^a * pair sign^b, read here from Permutation
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(4, 30)
+            gens = [random_centrally_symmetric(rng, n) for _ in range(rng.randint(1, 3))]
+            expected = {
+                (a, b)
+                for a, b in ((1, 0), (0, 1), (1, 1))
+                if all(g.parity() ** a * g.pair_parity() ** b == 1 for g in gens)
+            }
+            bound = _SignGroup([g.image for g in gens])
+            assert bound.paired and set(bound.characters) == expected
+            seen.add(frozenset(expected))
+        # none, each one alone, and all three
+        assert len(seen) == 5
+
+    def test_keeps_the_sign_on_points_when_every_generator_is_even(self):
+        rng = random.Random(43)
+        seen = set()
+        for _ in range(200):
+            degree = rng.randint(4, 30)
+            gens = [Permutation(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+            if all(g.is_centrally_symmetric() for g in gens):
+                continue
+            even = all(g.parity() == 1 for g in gens)
+            bound = _SignGroup([g.image for g in gens])
+            assert not bound.paired and bound.characters == (((1, 0),) if even else ())
+            seen.add(even)
+        assert seen == {False, True}
+
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_pair_images(self, family):
         # at 2n = 52 a pair sign is -1, so S_26; at 56 both are +1, so A_28

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle import groups
+from unshuffle import groups, perm
 from unshuffle.bsgs import EnumerationCapExceeded, bfs_enumerate
 from unshuffle.groups import (
     FAMILIES,
@@ -58,38 +58,47 @@ class TestFamilies:
         assert power_of_two_exponent(0) is None
 
 
+ALL = "all centrally symmetric permutations"
+BOTH_KERNELS = "intersection of the kernels of sign and pair sign"
+
+
 class TestPredictions:
-    # (family, deck size) -> (case, order, factored form)
+    # (family, deck size) -> (case, order, factored form, characterization)
     FROZEN = {
-        ("unshuffle", 2): ("power_of_two", 2, "1*2^1"),
-        ("perfect", 2): ("power_of_two", 2, "1*2^1"),
-        ("unshuffle", 4): ("power_of_two", 8, "2*2^2"),
-        ("unshuffle", 6): ("mod3", 48, "3!*2^3"),
-        ("perfect", 6): ("mod3", 24, "3!*2^2"),
-        ("unshuffle", 8): ("power_of_two", 24, "3*2^3"),
-        ("perfect", 8): ("power_of_two", 24, "3*2^3"),
-        ("unshuffle", 10): ("mod1", 1920, "5!*2^4"),
-        ("perfect", 10): ("mod1", 1920, "5!*2^4"),
-        ("unshuffle", 12): ("special12", 7680, "2^6*120"),
-        ("perfect", 12): ("special12", 7680, "2^6*120"),
-        ("unshuffle", 14): ("mod3", 645120, "7!*2^7"),
-        ("perfect", 14): ("mod3", 322560, "7!*2^6"),
-        ("unshuffle", 16): ("power_of_two", 64, "4*2^4"),
-        ("unshuffle", 20): ("mod2", 3715891200, "10!*2^10"),
-        ("perfect", 20): ("mod2", 3715891200, "10!*2^10"),
-        ("unshuffle", 24): ("special24", 194641920, "2^11*95040"),
-        ("perfect", 24): ("special24", 194641920, "2^11*95040"),
-        ("unshuffle", 52): ("mod2", math.factorial(26) * 2**26, "26!*2^26"),
-        ("perfect", 52): ("mod2", math.factorial(26) * 2**26, "26!*2^26"),
+        ("unshuffle", 2): ("power_of_two", 2, "1*2^1", "Z_2^1 : Z_1"),
+        ("perfect", 2): ("power_of_two", 2, "1*2^1", "Z_2^1 : Z_1"),
+        ("unshuffle", 4): ("power_of_two", 8, "2*2^2", "Z_2^2 : Z_2"),
+        ("unshuffle", 6): ("mod3", 48, "3!*2^3", ALL),
+        ("perfect", 6): ("mod3", 24, "3!*2^2", "kernel of sign times pair sign"),
+        ("unshuffle", 8): ("power_of_two", 24, "3*2^3", "Z_2^3 : Z_3"),
+        ("perfect", 8): ("power_of_two", 24, "3*2^3", "Z_2^3 : Z_3"),
+        ("unshuffle", 10): ("mod1", 1920, "5!*2^4", "kernel of pair sign"),
+        ("perfect", 10): ("mod1", 1920, "5!*2^4", "kernel of pair sign"),
+        ("unshuffle", 12): ("special12", 7680, "2^6*120", "Z_2^6 : S_5"),
+        ("perfect", 12): ("special12", 7680, "2^6*120", "Z_2^6 : S_5"),
+        ("unshuffle", 14): ("mod3", 645120, "7!*2^7", ALL),
+        ("perfect", 14): ("mod3", 322560, "7!*2^6", "kernel of sign times pair sign"),
+        ("unshuffle", 16): ("power_of_two", 64, "4*2^4", "Z_2^4 : Z_4"),
+        ("unshuffle", 20): ("mod2", 3715891200, "10!*2^10", ALL),
+        ("perfect", 20): ("mod2", 3715891200, "10!*2^10", ALL),
+        ("unshuffle", 24): ("special24", 194641920, "2^11*95040", "Z_2^11 : M_12"),
+        ("perfect", 24): ("special24", 194641920, "2^11*95040", "Z_2^11 : M_12"),
+        # the first n = 0 (mod 4) off the special sizes: 8, 16 and 32 are
+        # powers of two, and 24 is special
+        ("unshuffle", 40): ("mod0", math.factorial(20) * 2**18, "20!*2^18", BOTH_KERNELS),
+        ("perfect", 40): ("mod0", math.factorial(20) * 2**18, "20!*2^18", BOTH_KERNELS),
+        ("unshuffle", 52): ("mod2", math.factorial(26) * 2**26, "26!*2^26", ALL),
+        ("perfect", 52): ("mod2", math.factorial(26) * 2**26, "26!*2^26", ALL),
     }
 
     @pytest.mark.parametrize("family, size", sorted(FROZEN))
     def test_frozen(self, family, size):
-        case, order, factored = self.FROZEN[(family, size)]
+        case, order, factored, characterization = self.FROZEN[(family, size)]
         got = predict_group(family, size)
         assert got.case == case
         assert got.order == order
         assert got.order_factored == factored
+        assert got.characterization == characterization
         assert got.family == family and got.deck_size == size
 
     def test_special_sizes_take_precedence(self):
@@ -136,6 +145,16 @@ class TestParities:
     @pytest.mark.parametrize("n", range(1, 31))
     def test_computed_matches_predicted(self, n):
         assert computed_parity_row(2 * n) == parity_row(n)
+
+    def test_computed_row_walks_each_generator_once(self, monkeypatch):
+        # one cycle walk of L and one of R give both signs of each
+        walked = []
+        walk = perm._cycle_type
+        monkeypatch.setattr(perm, "_cycle_type", lambda image: walked.append(image) or walk(image))
+        computed_parity_row.cache_clear()
+        assert computed_parity_row(58) == parity_row(29)
+        left, right = family_generators("unshuffle", 58)
+        assert walked == [left.image, right.image]
 
     def test_computed_once_per_size_in_a_sweep(self):
         # both families' records at one size share the computed row
