@@ -15,13 +15,7 @@ from .bsgs import (
     StabilizerChain,
     bfs_enumerate,
 )
-from .elmsley import (
-    binary_shuffle_image,
-    bits_index,
-    index_bits,
-    perfect_elmsley_word,
-    unshuffle_swap_word,
-)
+from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
     GroupPrediction,
@@ -31,11 +25,9 @@ from .groups import (
     family_generators,
     group_contains,
     group_order,
-    kernel_rule_applies,
     pair_kernel_order,
     parity_row,
     predict_group,
-    predicted_kernel_order,
     records_to_json,
     substitute_unshuffles,
     verify_deck_size,
@@ -78,8 +70,6 @@ __all__ = [
     "Word",
     "as_word",
     "bfs_enumerate",
-    "binary_shuffle_image",
-    "bits_index",
     "check_deck_size",
     "deal_permutation",
     "diaconis_words",
@@ -87,16 +77,13 @@ __all__ = [
     "format_word",
     "group_contains",
     "group_order",
-    "index_bits",
     "invert_word",
-    "kernel_rule_applies",
     "multiplicative_order",
     "pair_kernel_order",
     "parity_row",
     "parse_word",
     "perfect_elmsley_word",
     "predict_group",
-    "predicted_kernel_order",
     "random_centrally_symmetric",
     "records_to_json",
     "shuffle_order",

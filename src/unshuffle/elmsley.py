@@ -11,11 +11,11 @@ Two classic constructions:
   the two positions as x_{k-1}..x_0, the r-th shuffle performed is chosen
   by bit x_r; which letter a bit picks flips with the parity of k.
 
-The driving fact is how L and R act on k-bit position labels: both replace
-x_{k-1}..x_0 by the complement of x_{k-1}..x_1 prefixed with the old low
-bit (L keeps it, R complements it).  ``binary_shuffle_image`` implements
-that rule directly so the tests can check it against the modular closed
-forms.
+The driving fact is how L and R act on the k-bit position labels of a 2^k
+deck: as the affine maps (b, j), x -> rot^j(x) xor b with rot the left
+rotation by one bit, L = (2^(k-1) - 1, k - 1) and R = (2^k - 1, k - 1).
+:func:`unshuffle.bsgs._affine_form` reads these forms off the images, and
+the tests pin them at every position.
 """
 
 from __future__ import annotations
@@ -25,40 +25,21 @@ from .shuffles import MAX_DECK, Step, Word, check_deck_size
 MAX_LOG_DECK = MAX_DECK.bit_length() - 1
 
 
-def index_bits(value: int, width: int) -> tuple[int, ...]:
-    """Fixed-width big-endian bits (x_{width-1}, ..., x_0)."""
-    if width < 1:
-        raise ValueError("width must be positive")
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - j)) & 1 for j in range(width))
-
-
-def bits_index(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
-
-
-def binary_shuffle_image(letter: str, bits) -> tuple[int, ...]:
-    """Image of a k-bit position label under L or R on a 2^k deck."""
-    bits = tuple(bits)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"bad bit sequence {bits!r}")
-    low = bits[-1]
-    complemented_prefix = tuple(1 - b for b in bits[:-1])
-    if letter == "L":
-        return (low,) + complemented_prefix
-    if letter == "R":
-        return (1 - low,) + complemented_prefix
-    raise ValueError(f"bit rule is defined for 'L' and 'R' only, got {letter!r}")
-
-
 def unshuffle_swap_word(i: int, j: int, k: int) -> Word:
     """A k-letter word over L and R exchanging positions i and j on 2^k cards.
 
-    The word depends only on i XOR j; for i == j it performs the identity.
+    The word is the translation x -> x xor (i xor j), so it depends only on
+    i XOR j, and for i == j it performs the identity.  Proof from the
+    affine forms of the module docstring: performing (b, j) and then
+    (b', j') gives (rot^j'(b) xor b', j + j').  Both letters rotate by
+    k - 1, so any k letters rotate by k(k - 1) = 0 (mod k), and the word
+    is a translation x -> x xor t.  The k - r letters after step r (from
+    1) rotate by (k - 1)(k - r) = r - k (mod k), so the letter performed
+    at step r adds rot^(r-k)(b) = rot^r(b) to t.  Since b_R = b_L xor 2^(k-1), swapping L and R at step
+    r flips exactly bit r - 1 of t.  All-L words are L^k, the identity when
+    k is odd, and all-R words are R^k, the identity when k is even; ``pick``
+    starts from that word and swaps the letter at every step whose bit of
+    i xor j is set.
     """
     if not 1 <= k <= MAX_LOG_DECK:
         raise ValueError(f"k must be in [1, {MAX_LOG_DECK}], got {k}")

@@ -14,9 +14,8 @@ so both groups sit inside the group of centrally symmetric permutations
 (order n! * 2^n).  Collapsing a symmetric permutation to its action on the
 n pairs is a homomorphism.  The sign of a shuffle and the sign of its pair
 action drive the classification: ``_RESIDUES`` holds the signs, index and
-structure for each n mod 4.  The kernel of the pair action on <L, R> has
-order 2^(n-1) when n = 0 (mod 4) and 2^n otherwise (for n > 1, n not a
-power of two, n not 6 or 12).
+structure for each n mod 4, and :func:`predict_group` reads the order of
+the kernel of the pair action off the same row.
 """
 
 from __future__ import annotations
@@ -110,8 +109,9 @@ def power_of_two_exponent(m: int) -> int | None:
 # the predicted signs (L, R, pair action of L, pair action of R), log2 of
 # the group's index in the n! * 2^n centrally symmetric permutations, and
 # its structure, the subgroup that the sign characters trivial on L and R
-# cut out.  <I, O> is the same group except at n = 3 (mod 4), where it has
-# index 2: see predict_group.
+# cut out.  The pair signs are also I's and O's, since V fixes every pair.
+# <I, O> is the same group except at n = 3 (mod 4), where it has index 2:
+# see predict_group.
 _RESIDUES = {
     0: ((1, 1, 1, 1), 2, "intersection of the kernels of sign and pair sign"),
     1: ((1, -1, 1, 1), 1, "kernel of pair sign"),
@@ -128,6 +128,7 @@ class GroupPrediction:
     order: int
     order_factored: str
     characterization: str
+    kernel_order: int | None = None
 
 
 def predict_group(family: str, deck_size: int) -> GroupPrediction:
@@ -136,6 +137,11 @@ def predict_group(family: str, deck_size: int) -> GroupPrediction:
     Special deck sizes take precedence: 12, 24, then powers of two; every
     other size reads the row of ``_RESIDUES`` for n mod 4.  Every even size
     lands in exactly one case.
+
+    Off the special sizes ``kernel_order`` is the order |G| / |H| of the
+    kernel of the pair action, H its image: H is S_n, or A_n when both
+    predicted pair signs are +1, so |K| = 2^(n - log index), doubled in
+    that case.  At 12, 24 and 2^k it is None.
     """
     check_deck_size(deck_size)
     if family not in FAMILIES:
@@ -157,11 +163,12 @@ def predict_group(family: str, deck_size: int) -> GroupPrediction:
         )
 
     residue = n % 4
-    _, log_index, what = _RESIDUES[residue]
+    signs, log_index, what = _RESIDUES[residue]
     if family == "perfect" and residue == 3:
         log_index, what = 1, "kernel of sign times pair sign"
     order, factored = factorial(n) << (n - log_index), f"{n}!*2^{n - log_index}"
-    return GroupPrediction(family, deck_size, f"mod{residue}", order, factored, what)
+    kernel = 1 << (n - log_index + (signs[2:] == (1, 1)))
+    return GroupPrediction(family, deck_size, f"mod{residue}", order, factored, what, kernel)
 
 
 def parity_row(n: int) -> tuple[int, int, int, int]:
@@ -176,16 +183,6 @@ def parity_row(n: int) -> tuple[int, int, int, int]:
 def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
     left, right = (_signs(g.image) for g in family_generators("unshuffle", deck_size))
     return left[0], right[0], left[1], right[1]
-
-
-def kernel_rule_applies(n: int) -> bool:
-    return n > 1 and power_of_two_exponent(n) is None and n not in (6, 12)
-
-
-def predicted_kernel_order(n: int) -> int:
-    if not kernel_rule_applies(n):
-        raise ValueError(f"kernel order rule does not apply to n={n}")
-    return 2 ** (n - 1) if n % 4 == 0 else 2**n
 
 
 def pair_kernel_order(generators, group_order: int | None = None) -> int:
@@ -382,22 +379,22 @@ def verify_deck_size(
     ``match`` says that three things agree: the computed order with the
     predicted one, the computed signs with :func:`parity_row`, and, where
     the kernel is computed (the unshuffle family wherever
-    :func:`kernel_rule_applies`), its order with the predicted one.  The
-    engine is :func:`compute_group`'s; ``engine_used`` names the one
-    that answered.  The prediction only supplies the expected value, never
-    the engine.  A forced ``bfs`` run past the cap or the byte limit
-    (more than 255 cards) raises :class:`unshuffle.bsgs.EnumerationCapExceeded`,
-    as :func:`compute_group` does, so a sweep stops at its first such record.
+    :func:`predict_group` gives a ``kernel_order``), its order with the
+    predicted one.  The engine is :func:`compute_group`'s; ``engine_used``
+    names the one that answered.  The prediction only supplies the
+    expected value, never the engine.  A forced ``bfs`` run past the cap or
+    the byte limit (more than 255 cards) raises
+    :class:`unshuffle.bsgs.EnumerationCapExceeded`, as :func:`compute_group`
+    does, so a sweep stops at its first such record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
     engine_used, group = compute_group(gens, engine, cap)
 
-    n = deck_size // 2
     kernel_computed = kernel_predicted = None
-    if family == "unshuffle" and kernel_rule_applies(n):
+    if family == "unshuffle" and prediction.kernel_order is not None:
         kernel_computed = pair_kernel_order(gens, group_order=group.order)
-        kernel_predicted = predicted_kernel_order(n)
+        kernel_predicted = prediction.kernel_order
 
     parities = computed_parity_row(deck_size)
     return VerificationRecord(
@@ -409,7 +406,7 @@ def verify_deck_size(
         predicted_order_factored=prediction.order_factored,
         match=(
             group.order == prediction.order
-            and parities == parity_row(n)
+            and parities == parity_row(deck_size // 2)
             and kernel_computed == kernel_predicted
         ),
         parities=parities,

@@ -18,12 +18,10 @@ from unshuffle.elmsley import perfect_elmsley_word, unshuffle_swap_word
 from unshuffle.groups import (
     diaconis_words,
     family_generators,
-    kernel_rule_applies,
     pair_kernel_order,
     parity_row,
     computed_parity_row,
     predict_group,
-    predicted_kernel_order,
     substitute_unshuffles,
 )
 from unshuffle.perm import Permutation
@@ -223,13 +221,14 @@ def test_criterion_09_parity_table():
 def test_criterion_10_kernel_orders():
     t0 = time.perf_counter()
     failures = []
-    applicable = [n for n in range(3, 27) if kernel_rule_applies(n)]
+    predicted = {n: predict_group("unshuffle", 2 * n).kernel_order for n in range(3, 27)}
+    applicable = [n for n in predicted if predicted[n] is not None]
+    if len(applicable) != 19:
+        failures.append(("applicable sizes", len(applicable)))
     for n in applicable:
-        gens = family_generators("unshuffle", 2 * n)
-        computed = pair_kernel_order(gens)
-        predicted = predicted_kernel_order(n)
-        if computed != predicted:
-            failures.append((n, computed, predicted))
+        computed = pair_kernel_order(family_generators("unshuffle", 2 * n))
+        if computed != predicted[n]:
+            failures.append((n, computed, predicted[n]))
     finish(10, t0, failures, f"pair-action kernels have the predicted two-power orders, {len(applicable)} applicable n in [3,26]")
 
 

@@ -20,7 +20,6 @@ from unshuffle.bsgs import (
     _SignGroup,
     bfs_enumerate,
 )
-from unshuffle.elmsley import binary_shuffle_image, bits_index, index_bits
 from unshuffle.groups import (
     FAMILIES,
     compute_group,
@@ -564,10 +563,6 @@ class TestAffine:
             image = shuffle_permutation(letter, d).image
             assert _affine_form(image) == form, letter
             assert image == tuple(affine_image(form, k, x) for x in range(d)), letter
-        for letter in "LR":
-            for x in range(d):
-                got = bits_index(binary_shuffle_image(letter, index_bits(x, k)))
-                assert got == affine_image(forms[letter], k, x), (letter, x)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_matches_chain(self, k):

@@ -491,9 +491,12 @@ class TestVerify:
         assert "2n=6" in lines[2] and "2n=6" in lines[3]
 
     def test_kernel_mismatch_exit_code(self, run_cli, monkeypatch):
-        true_kernel = groups.predicted_kernel_order
+        true_kernel = groups.pair_kernel_order
         monkeypatch.setattr(
-            groups, "predicted_kernel_order", lambda n: true_kernel(n) * (2 if n == 3 else 1)
+            groups,
+            "pair_kernel_order",
+            lambda gens, group_order=None: true_kernel(gens, group_order)
+            * (2 if len(gens[0]) == 6 else 1),
         )
         code, out, _ = run_cli("verify", "--min", 4, "--max", 6)
         assert code == 1

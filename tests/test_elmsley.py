@@ -4,14 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unshuffle.elmsley import (
-    MAX_LOG_DECK,
-    binary_shuffle_image,
-    bits_index,
-    index_bits,
-    perfect_elmsley_word,
-    unshuffle_swap_word,
-)
+from unshuffle.elmsley import MAX_LOG_DECK, perfect_elmsley_word, unshuffle_swap_word
 from unshuffle.perm import Permutation
 from unshuffle.shuffles import format_word, shuffle_permutation, word_permutation
 
@@ -20,51 +13,51 @@ def xor_permutation(mask: int, degree: int) -> Permutation:
     return Permutation(x ^ mask for x in range(degree))
 
 
-class TestBits:
-    @given(st.integers(min_value=1, max_value=16).flatmap(
-        lambda w: st.tuples(st.just(w), st.integers(min_value=0, max_value=2**w - 1))
-    ))
-    def test_round_trip(self, wv):
-        width, value = wv
-        bits = index_bits(value, width)
-        assert len(bits) == width
-        assert bits_index(bits) == value
+def letter_form(letter: str, k: int) -> tuple[int, int]:
+    # the module docstring's affine form (b, j) of L or R on 2^k cards
+    return (2 ** (k - 1) - 1 if letter == "L" else 2**k - 1), k - 1
 
-    def test_frozen(self):
-        assert index_bits(5, 3) == (1, 0, 1)
-        assert index_bits(0, 4) == (0, 0, 0, 0)
-        assert bits_index((1, 1, 0)) == 6
 
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            index_bits(8, 3)
-        with pytest.raises(ValueError):
-            index_bits(0, 0)
+def affine_image(form, k: int, x: int) -> int:
+    # x -> rot^j(x) xor b on k-bit labels, rot the left rotation by one bit
+    b, j = form
+    return (((x << j) | (x >> (k - j))) & ((1 << k) - 1)) ^ b
+
+
+def affine_then(p, q, k: int):
+    # performing p and then q: (rot^jq(bp) xor bq, jp + jq)
+    return affine_image(q, k, p[0]), (p[1] + q[1]) % k
 
 
 class TestBitRule:
+    """The affine forms the swap word's proof starts from."""
+
     @pytest.mark.parametrize("k", range(1, 9))
     @pytest.mark.parametrize("letter", "LR")
     def test_matches_modular_form(self, letter, k):
-        # the bit-twiddling description of L and R on 2^k cards must agree
-        # with the mod 2n+1 / mod 2n-1 closed forms at every position
+        # the form agrees with the mod 2n+1 / mod 2n-1 closed forms at every
+        # position, and its k-th power, composed in the affine algebra, is
+        # the k-th power of the shuffle: the identity exactly when pick
+        # starts from this letter (L at odd k, R at even k)
         size = 1 << k
+        form = letter_form(letter, k)
         p = shuffle_permutation(letter, size)
-        for i in range(size):
-            got = bits_index(binary_shuffle_image(letter, index_bits(i, k)))
-            assert got == p(i)
+        assert p.image == tuple(affine_image(form, k, x) for x in range(size))
+        power = (0, 0)
+        for _ in range(k):
+            power = affine_then(power, form, k)
+        assert word_permutation(letter * k, size).image == tuple(
+            affine_image(power, k, x) for x in range(size)
+        )
+        assert (power == (0, 0)) == (letter == ("L" if k % 2 else "R"))
 
     def test_frozen_three_bit_example(self):
-        assert binary_shuffle_image("L", (1, 0, 1)) == (1, 0, 1)
-        assert binary_shuffle_image("R", (1, 0, 1)) == (0, 0, 1)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError):
-            binary_shuffle_image("V", (1, 0))
-        with pytest.raises(ValueError):
-            binary_shuffle_image("L", ())
-        with pytest.raises(ValueError):
-            binary_shuffle_image("L", (0, 2))
+        assert shuffle_permutation("L", 8)(0b101) == 0b101
+        assert shuffle_permutation("R", 8)(0b101) == 0b001
+        # b_R = b_L xor 2^(k-1): L and R differ in the top bit of every image
+        for k in range(1, 9):
+            left, right = (shuffle_permutation(x, 1 << k) for x in "LR")
+            assert all(left(x) ^ right(x) == 2 ** (k - 1) for x in range(1 << k))
 
 
 class TestSwapWords:

@@ -12,16 +12,15 @@ from unshuffle.bsgs import EnumerationCapExceeded, bfs_enumerate
 from unshuffle.groups import (
     FAMILIES,
     VerificationRecord,
+    compute_group,
     computed_parity_row,
     decimal_text,
     diaconis_words,
     family_generators,
-    kernel_rule_applies,
     pair_kernel_order,
     parity_row,
     power_of_two_exponent,
     predict_group,
-    predicted_kernel_order,
     records_to_json,
     substitute_unshuffles,
     verify_deck_size,
@@ -164,38 +163,59 @@ class TestParities:
         assert (info.misses, info.hits) == (3, 3)
 
 
+def kernel_order(n: int, family: str = "unshuffle") -> int | None:
+    return predict_group(family, 2 * n).kernel_order
+
+
 class TestKernel:
     def test_rule_applicability(self):
-        assert kernel_rule_applies(3)
-        assert kernel_rule_applies(20)
-        assert kernel_rule_applies(24)
-        # powers of two and the two exceptional sizes are excluded
+        assert kernel_order(3) is not None
+        assert kernel_order(20) is not None
+        assert kernel_order(24) is not None
+        # powers of two and the two exceptional sizes have no kernel rule
         for n in (1, 2, 4, 6, 8, 12, 16):
-            assert not kernel_rule_applies(n)
+            assert kernel_order(n) is None
 
     def test_predicted_orders(self):
-        assert predicted_kernel_order(3) == 8
-        assert predicted_kernel_order(5) == 32
-        assert predicted_kernel_order(20) == 2**19
-        assert predicted_kernel_order(24) == 2**23
+        assert kernel_order(3) == 8
+        assert kernel_order(5) == 32
+        assert kernel_order(20) == 2**19
+        assert kernel_order(24) == 2**23
+        # <I, O> at n = 3 (mod 4) has half the kernel, the same pair image
+        assert kernel_order(3, "perfect") == 4
+        assert kernel_order(7, "perfect") == 2**6
 
     def test_predicted_rejects_inapplicable(self):
-        with pytest.raises(ValueError):
-            predicted_kernel_order(6)
+        # 2n = 12, 24 and 2^k, for either family
+        for family in FAMILIES:
+            for n in (6, 12, 16):
+                assert kernel_order(n, family) is None
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_computed_matches_predicted(self, n):
         gens = family_generators("unshuffle", 2 * n)
-        assert pair_kernel_order(gens) == predicted_kernel_order(n)
+        assert pair_kernel_order(gens) == kernel_order(n)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_both_families_off_the_special_sizes(self, family):
+        checked = 0
+        for size in range(6, 61, 2):
+            predicted = predict_group(family, size).kernel_order
+            if predicted is None:
+                continue
+            assert pair_kernel_order(family_generators(family, size)) == predicted, size
+            checked += 1
+        # [6, 60] without 8, 12, 16, 24 and 32
+        assert checked == 23
 
     def test_hundred_cards(self):
         gens = family_generators("unshuffle", 100)
-        assert pair_kernel_order(gens) == predicted_kernel_order(50) == 2**50
+        assert pair_kernel_order(gens) == kernel_order(50) == 2**50
 
     def test_two_thousand_cards(self):
         # the group and its pair image are both certified, no chain needed
         gens = family_generators("unshuffle", 2002)
-        assert pair_kernel_order(gens) == predicted_kernel_order(1001) == 2**1001
+        assert pair_kernel_order(gens) == kernel_order(1001) == 2**1001
 
     def test_known_group_order_shortcut(self):
         gens = family_generators("unshuffle", 6)
@@ -246,6 +266,14 @@ class TestClassicWords:
         for name in ("c", "w"):
             p = evaluate(words[name], 2 * n)
             assert all(p(i) < n for i in range(n)), name
+
+    @pytest.mark.parametrize("size", range(6, 51, 4))
+    def test_c_and_w_generate_the_even_top_half(self, size):
+        # for odd n, c and w act on the top half as A_n, and the mirror half
+        # follows by central symmetry, so <c, w> has order n!/2
+        words = diaconis_words(deck_size=size)
+        gens = [evaluate(words[name], size) for name in ("c", "w")]
+        assert compute_group(gens)[1].order == math.factorial(size // 2) // 2
 
     def test_c_and_w_land_in_the_perfect_group(self):
         closure = bfs_enumerate(family_generators("perfect", 10))
