@@ -32,6 +32,7 @@ from .shuffles import (
     as_word,
     check_deck_size,
     format_word,
+    invert_word,
     shuffle_order,
     shuffle_permutation,
     walk_word,
@@ -92,7 +93,9 @@ def _cmd_shuffle(args):
         steps = _steps(word, args.deck)
         payload.update(arrangement=steps[-1]["arrangement"], steps=steps)
         return OK, payload, _step_lines(steps)
-    payload["arrangement"] = list(word_permutation(word, args.deck).arrangement())
+    # the arrangement is the inverse's image; the inverse word gives it with
+    # no Python-level inversion over the deck
+    payload["arrangement"] = list(word_permutation(invert_word(word), args.deck).image)
     return OK, payload, [",".join(map(str, payload["arrangement"]))]
 
 

@@ -11,21 +11,26 @@ Positions run 0..2n-1 with 0 the top card.  With n = deck_size // 2:
 L and R deal the deck alternately into two piles (top card starts the left
 pile) and stack the named pile on top; I and O cut exactly in half and
 interlace perfectly.  Each closed form is one or two arithmetic
-progressions, so every image and every inverse is built in C from
-``range`` slices and nothing is cached: L' and R' are the two dealt piles,
-stacked, and I' and O' interlace the two halves.  The tests check each
-image against the closed forms, each inverse against the inverted image,
-and L' and R' against the literal dealing simulation, which is why both
-constructions live here.
+progressions, so every step moves a deck as two slices, interleaved or
+stacked: L' and R' are the two dealt piles, stacked, and I' and O'
+interlace the two halves.  ``_gather(x, letter)`` reads any sequence x at
+a step's image, x[s(i)] at every i, as those two slices copied in C, and
+a step's image is the gather of ``range(d)``; nothing is cached.  The
+tests check each image against the closed forms, each inverse against
+the inverted image, and L' and R' against the literal dealing
+simulation, which is why both constructions live here.
 
 Words are read left to right in performance order: "RL'" means do R, then
-the inverse of L.
+the inverse of L.  ``word_permutation`` evaluates them right to left,
+because "s, then W'" sends i to W'[s(i)]: each step is then one gather of
+the permutation so far, with no image built and no composition.
+``walk_word`` must yield every prefix, so it composes left to right.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .perm import Permutation, _compose, _invert, _wrap
@@ -102,32 +107,37 @@ def check_deck_size(deck_size: int) -> int:
 
 
 def _images(letter: str, deck_size: int, inverted: bool = False) -> tuple[int, ...]:
-    # two progressions, interleaved (a[0], b[0], a[1], ...) or stacked
-    # (a, then b); inverting a shuffle swaps the two forms
-    d = deck_size
+    return tuple(_gather(range(deck_size), letter, inverted))
+
+
+def _gather(x: Sequence[int], letter: str, inverted: bool = False) -> Sequence[int]:
+    # x[s(i)] at every i, where s is the step's image: "do s, then x".  Two
+    # slices of x, interleaved (a[0], b[0], a[1], ...) or stacked (a, then
+    # b); inverting a shuffle swaps the two forms
+    d = len(x)
     n = d // 2
     if letter == "V":
-        return tuple(range(d - 1, -1, -1))
+        return x[::-1]
     if letter == "L":
         if inverted:
-            return (*range(d - 2, -1, -2), *range(d - 1, 0, -2))
-        return _interleave(range(n - 1, -1, -1), range(d - 1, n - 1, -1))
+            return (*x[d - 2 :: -2], *x[d - 1 :: -2])
+        return _interleave(x[n - 1 :: -1], x[: n - 1 : -1])
     if letter == "R":
         if inverted:
-            return (*range(d - 1, 0, -2), *range(d - 2, -1, -2))
-        return _interleave(range(d - 1, n - 1, -1), range(n - 1, -1, -1))
+            return (*x[d - 1 :: -2], *x[d - 2 :: -2])
+        return _interleave(x[: n - 1 : -1], x[n - 1 :: -1])
     if letter == "I":
         if inverted:
-            return _interleave(range(n, d), range(n))
-        return (*range(1, d, 2), *range(0, d, 2))
+            return _interleave(x[n:], x[:n])
+        return (*x[1::2], *x[::2])
     if letter == "O":
         if inverted:
-            return _interleave(range(n), range(n, d))
-        return (*range(0, d, 2), *range(1, d, 2))
+            return _interleave(x[:n], x[n:])
+        return (*x[::2], *x[1::2])
     raise ValueError(f"unknown shuffle letter {letter!r}")
 
 
-def _interleave(a: range, b: range) -> tuple[int, ...]:
+def _interleave(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b))
     out[::2] = a
     out[1::2] = b
@@ -178,10 +188,15 @@ def walk_word(word, deck_size: int) -> Iterator[Permutation]:
 
 
 def word_permutation(word, deck_size: int) -> Permutation:
-    """Evaluate a shuffle word (string or Step sequence) on a deck."""
-    for current in walk_word(word, deck_size):
-        pass
-    return current
+    """Evaluate a shuffle word (string or Step sequence) on a deck.
+
+    Right to left: the image of "s, then W'" at i is W'[s(i)], so with x
+    the image of the steps after s, x[s(i)] is the image from s on."""
+    check_deck_size(deck_size)
+    x = range(deck_size)
+    for step in reversed(as_word(word)):
+        x = _gather(x, step.letter, step.inverted)
+    return _wrap(tuple(x))
 
 
 def _prime_factors(m: int) -> list[int]:

@@ -1,15 +1,18 @@
 import math
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.perm import Permutation, _invert
+from unshuffle.perm import Permutation, _compose, _invert
 from unshuffle.shuffles import (
     LETTERS,
     MAX_DECK,
     Step,
+    _gather,
+    _images,
     as_word,
     check_deck_size,
     deal_permutation,
@@ -100,17 +103,29 @@ class TestSingleShuffles:
             deal_permutation("middle", 6)
 
 
-def closed_form(letter, size):
-    """The modular closed forms of the module docstring, point by point."""
+def point_forms(size):
+    """The modular closed forms of the module docstring, one point at a
+    time, and their inverses, keyed by step text ("L", "L'", ...).  The
+    inverses use n * -2 = 1 (mod 2n+1), (n-1) * -2 = 1 (mod 2n-1), and
+    2 * (n+1) = 1 (mod 2n+1) and 2 * n = 1 (mod 2n-1); R swaps 0 and 2n-1."""
     n = size // 2
-    forms = {
+    return {
         "L": lambda i: (n * i + n - 1) % (size + 1),
         "R": lambda i: size - 1 if i == 0 else (n - 1) * i % (size - 1),
         "I": lambda i: (2 * i + 1) % (size + 1),
         "O": lambda i: size - 1 if i == size - 1 else 2 * i % (size - 1),
         "V": lambda i: size - 1 - i,
+        "L'": lambda j: -2 * (j - n + 1) % (size + 1),
+        "R'": lambda j: 0 if j == size - 1 else size - 1 if j == 0 else -2 * j % (size - 1),
+        "I'": lambda j: (j - 1) * (n + 1) % (size + 1),
+        "O'": lambda j: size - 1 if j == size - 1 else n * j % (size - 1),
+        "V'": lambda j: size - 1 - j,
     }
-    return tuple(map(forms[letter], range(size)))
+
+
+def closed_form(letter, size):
+    """The modular closed forms of the module docstring, point by point."""
+    return tuple(map(point_forms(size)[letter], range(size)))
 
 
 def dealt_piles(size):
@@ -149,6 +164,18 @@ class TestImages:
             assert inverse_left == deal_permutation("left", size).inverse()
             assert inverse_right == deal_permutation("right", size).inverse()
 
+    def test_gather_reads_any_sequence_at_the_image(self):
+        # x[s(i)] is "do s, then x"; a random x shows the slices take x's
+        # entries, not their positions.  At 2 and 4 cards the n-1 slice
+        # bounds reach 0
+        rng = random.Random(17)
+        for size in range(2, 201, 2):
+            x = tuple(rng.sample(range(size), size))
+            for letter in LETTERS:
+                for inverted in (False, True):
+                    expected = _compose(_images(letter, size, inverted), x)
+                    assert tuple(_gather(x, letter, inverted)) == expected, (letter, inverted, size)
+
     def test_no_image_is_kept(self):
         # a cache of images at this size would keep about 0.6 MB per entry
         tracemalloc.start()
@@ -172,6 +199,9 @@ class TestDeckSizeValidation:
     def test_accepts(self):
         assert check_deck_size(2) == 2
         assert check_deck_size(MAX_DECK) == MAX_DECK
+
+
+TWELVE_STEPS = "LRIOVL'R'I'O'VRL"
 
 
 class TestWords:
@@ -220,6 +250,33 @@ class TestWords:
 
     def test_empty_word_is_identity(self):
         assert word_permutation("", 8).is_identity()
+
+    @pytest.mark.parametrize("size", [2, 4, (1 << 14) + 2, 1 << 16])
+    def test_right_to_left_gathers_match_the_walk(self, size):
+        # word_permutation gathers right to left; walk_word composes left
+        # to right.  Sampled points also follow the closed forms step by step
+        p = word_permutation(TWELVE_STEPS, size)
+        assert p == list(walk_word(TWELVE_STEPS, size))[-1]
+        forms = point_forms(size)
+        for i in random.Random(size).sample(range(size), min(size, 200)):
+            j = i
+            for step in parse_word(TWELVE_STEPS):
+                j = forms[str(step)](j)
+            assert p(i) == j, i
+
+    def test_word_builds_no_image(self):
+        # gathers share x's int objects, so the peak stays within twice the
+        # result; building each step's image and composing it takes 2.4x
+        size = 1 << 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = word_permutation(TWELVE_STEPS, size)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.degree == size
+        assert peak - before < 2 * (kept - before)
 
     def test_performance_order_is_left_to_right(self):
         # "RL" must mean R first: card 0 goes to 5 under R, then 5 to 3 under L
