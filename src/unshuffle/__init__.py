@@ -49,7 +49,7 @@ from .shuffles import (
     parse_word,
     shuffle_order,
     shuffle_permutation,
-    walk_word,
+    walk_deck,
     word_permutation,
     word_power,
 )
@@ -92,7 +92,7 @@ __all__ = [
     "unshuffle_swap_word",
     "verify_deck_size",
     "verify_deck_sizes",
-    "walk_word",
+    "walk_deck",
     "word_permutation",
     "word_power",
     "write_report",

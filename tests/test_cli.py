@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle import groups
+from unshuffle import groups, perm
 from unshuffle.cli import main
 from unshuffle.shuffles import Step, shuffle_permutation
 
@@ -78,6 +78,40 @@ class TestShuffle:
         code, _, err = run_cli("shuffle", "--deck", 6, "--word", "LX")
         assert code == 2
         assert "error:" in err
+
+
+class TestStepDecks:
+    # every deck is a gather of the one before, so no command that prints
+    # decks inverts or composes a permutation
+    FROZEN = {
+        ("shuffle", "--deck", 6, "--word", "RL'V", "--show-steps"): (
+            "start: 0,1,2,3,4,5\nR: 5,3,1,4,2,0\nL': 1,0,3,2,5,4\nV: 4,5,2,3,0,1\n"
+        ),
+        ("shuffle", "--deck", 6, "--word", "RL'V"): "4,5,2,3,0,1\n",
+        ("swap", "--deck", 8, "--a", 0, "--b", 5): (
+            "RLR\n"
+            "start: 0,1,2,3,4,5,6,7\n"
+            "R: 7,5,3,1,6,4,2,0\n"
+            "L: 2,6,3,7,0,4,1,5\n"
+            "R: 5,4,7,6,1,0,3,2\n"
+        ),
+        ("elmsley", "--deck", 6, "--target", 3, "--show-steps"): (
+            "II\nstart: 0,1,2,3,4,5\nI: 3,0,4,1,5,2\nI: 1,3,5,0,2,4\n"
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "args", list(FROZEN), ids=["shuffle-steps", "shuffle", "swap", "elmsley-steps"]
+    )
+    def test_decks_need_no_inverse_or_composition(self, run_cli, monkeypatch, args):
+        def refuse(*_):
+            raise AssertionError("a printed deck inverted or composed a permutation")
+
+        monkeypatch.setattr(perm, "_invert", refuse)
+        monkeypatch.setattr(perm, "_compose", refuse)
+        code, out, _ = run_cli(*args)
+        assert code == 0
+        assert out == self.FROZEN[args]
 
 
 class TestPerm:

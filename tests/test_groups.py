@@ -27,7 +27,7 @@ from unshuffle.groups import (
     verify_deck_sizes,
     write_report,
 )
-from unshuffle.shuffles import Step, format_word, word_permutation
+from unshuffle.shuffles import MAX_DECK, Step, format_word, word_permutation
 
 
 def evaluate(word, size):
@@ -224,7 +224,8 @@ class TestKernel:
 
 class TestClassicWords:
     def test_frozen_strings(self):
-        words = diaconis_words(k=3, r_values=[1, 2])
+        # 24 = 2^3 * 3, so k = 3
+        words = diaconis_words(24)
         assert format_word(words["c"]) == "OI'OIO'I'OIO'O'"
         assert len(words["w"]) == 48
         assert format_word(words["w"]) == (
@@ -234,27 +235,29 @@ class TestClassicWords:
         assert format_word(words["c'"]) == "O" + format_word(words["b"]) + "O'"
         assert format_word(words["h(1)"]) == "O'I"
         assert format_word(words["h(2)"]) == "O'O'II"
+        assert set(words) == {"c", "w", "b", "c'", "h(1)", "h(2)"}
 
     def test_small_k(self):
-        words = diaconis_words(k=1)
-        assert format_word(words["b"]) == "O'IOI'O'IOI'"
-        assert set(words) == {"c", "w", "b", "c'"}
+        # an odd half-deck gives k = 1 and no h(r)
+        for size in (6, 10):
+            words = diaconis_words(size)
+            assert format_word(words["b"]) == "O'IOI'O'IOI'"
+            assert set(words) == {"c", "w", "b", "c'"}
 
     def test_k_from_deck_size(self):
-        # 24 = 2^3 * 3, so k defaults to 3
-        assert diaconis_words(deck_size=24)["b"] == diaconis_words(k=3)["b"]
-        assert diaconis_words(deck_size=10)["b"] == diaconis_words(k=1)["b"]
+        # k is the exponent of 2 in the deck size: 48 = 2^4 * 3, 40 = 2^3 * 5
+        assert format_word(diaconis_words(48)["b"]) == "O'IOOOOI'I'I'I'O'IOOOOI'I'I'I'"
+        assert diaconis_words(40)["b"] == diaconis_words(24)["b"]
+        assert set(diaconis_words(16)) == {"c", "w", "b", "c'", "h(1)", "h(2)", "h(3)"}
 
     def test_rejects(self):
-        with pytest.raises(ValueError):
-            diaconis_words()
-        with pytest.raises(ValueError):
-            diaconis_words(k=0)
-        with pytest.raises(ValueError):
-            diaconis_words(k=2, r_values=[0])
+        for bad in (None, 0, 7, -2, 6.0, "6", MAX_DECK + 2):
+            with pytest.raises(ValueError):
+                diaconis_words(bad)
 
     def test_first_return_word_frozen(self):
-        got = evaluate(diaconis_words(k=1, r_values=[1])["h(1)"], 6)
+        # h(1) first appears at 12 = 2^2 * 3 cards
+        got = evaluate(diaconis_words(12)["h(1)"], 6)
         assert got.image == (1, 0, 3, 2, 5, 4)
 
     @pytest.mark.parametrize("n", [5, 7])
@@ -306,7 +309,7 @@ class TestSubstitution:
         assert got.leading_reversal is False
 
     def test_result_avoids_faro_letters(self):
-        words = diaconis_words(k=2, r_values=[1])
+        words = diaconis_words(12)
         for word in words.values():
             rewritten = substitute_unshuffles(word).word
             assert all(s.letter in "LRV" for s in rewritten)

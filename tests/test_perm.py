@@ -56,6 +56,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation(bad)
 
+    @pytest.mark.parametrize("bad", [[True, False], [0, True]])
+    def test_rejects_bool_entries(self, bad):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+
     def test_immutable(self):
         p = Permutation([1, 0])
         with pytest.raises(AttributeError):

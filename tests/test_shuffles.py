@@ -12,7 +12,6 @@ from unshuffle.shuffles import (
     MAX_DECK,
     Step,
     _gather,
-    _images,
     as_word,
     check_deck_size,
     deal_permutation,
@@ -22,7 +21,7 @@ from unshuffle.shuffles import (
     parse_word,
     shuffle_order,
     shuffle_permutation,
-    walk_word,
+    walk_deck,
     word_permutation,
     word_power,
 )
@@ -71,6 +70,15 @@ class TestSingleShuffles:
     def test_step_rejects_other_letters(self):
         with pytest.raises(ValueError, match="unknown shuffle letter 'X'"):
             Step("X")
+
+    @pytest.mark.parametrize("bad", ["", "IO", "LR"])
+    def test_step_takes_exactly_one_letter(self, bad):
+        # "IO" is a substring of LRIOV, but it would print as IO and parse
+        # back as two steps
+        with pytest.raises(ValueError, match="unknown shuffle letter"):
+            Step(bad)
+        with pytest.raises(ValueError, match="unknown shuffle letter"):
+            shuffle_permutation(bad, 6)
 
     @pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 26, 52, 100])
     def test_closed_forms_match_dealing(self, size):
@@ -173,7 +181,8 @@ class TestImages:
             x = tuple(rng.sample(range(size), size))
             for letter in LETTERS:
                 for inverted in (False, True):
-                    expected = _compose(_images(letter, size, inverted), x)
+                    image = shuffle_permutation(Step(letter, inverted), size).image
+                    expected = _compose(image, x)
                     assert tuple(_gather(x, letter, inverted)) == expected, (letter, inverted, size)
 
     def test_no_image_is_kept(self):
@@ -235,10 +244,12 @@ class TestWords:
 
     @given(words(max_size=6), deck_sizes)
     def test_walk_visits_every_prefix(self, word, size):
-        expected = [Permutation.identity(size)]
+        prefix = Permutation.identity(size)
+        expected = [prefix.arrangement()]
         for step in word:
-            expected.append(expected[-1] * shuffle_permutation(step, size))
-        assert list(walk_word(word, size)) == expected
+            prefix = prefix * shuffle_permutation(step, size)
+            expected.append(prefix.arrangement())
+        assert [tuple(deck) for deck in walk_deck(word, size)] == expected
 
     @given(words(max_size=6), deck_sizes)
     def test_invert_word_evaluates_to_inverse(self, word, size):
@@ -253,10 +264,11 @@ class TestWords:
 
     @pytest.mark.parametrize("size", [2, 4, (1 << 14) + 2, 1 << 16])
     def test_right_to_left_gathers_match_the_walk(self, size):
-        # word_permutation gathers right to left; walk_word composes left
-        # to right.  Sampled points also follow the closed forms step by step
+        # word_permutation gathers right to left from the image; walk_deck
+        # gathers left to right from the deck.  Sampled points also follow
+        # the closed forms step by step
         p = word_permutation(TWELVE_STEPS, size)
-        assert p == list(walk_word(TWELVE_STEPS, size))[-1]
+        assert p.arrangement() == tuple(list(walk_deck(TWELVE_STEPS, size))[-1])
         forms = point_forms(size)
         for i in random.Random(size).sample(range(size), min(size, 200)):
             j = i
