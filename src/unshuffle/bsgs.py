@@ -34,10 +34,15 @@ or prove the group without either:
   the :class:`_SignGroup`, an upper bound proved from the generators alone
   (central symmetry, sign and pair sign for the shuffle groups; S_d or A_d
   otherwise).  Meeting the bound certifies the chain
-  complete.  When the bound is not met (the shuffle groups at 2n = 12, 24
-  and 2^k, most other generator sets) the build runs the deterministic,
-  incremental Schreier-Sims closure instead, in which orbits and
-  transversals grow in place and each Schreier generator is sifted once.
+  complete.  Where the random phase stalls below it, a centrally symmetric
+  chain is still certified when its orbit sizes multiply to 2^f times the
+  order of a chain on the generators' pair images, f = n or n-1, the
+  most a kernel of the pair action can hold (the shuffle groups at
+  2n = 12 and 24).  Only where that pair bound fails too (the shuffle
+  groups at 2^k, the pair images at 12 and 24, most other generator
+  sets) does the build run the deterministic, incremental Schreier-Sims
+  closure instead, in which orbits and transversals grow in place and
+  each Schreier generator is sifted once.
   The group order falls out as the product of orbit sizes and membership
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
@@ -260,7 +265,9 @@ def _certified_group(generators) -> _SignGroup | None:
     B_n / [B_n, B_n] is Z_2^2, whose four characters are the ones
     :class:`_SignGroup` counts, so |G| = |B_n| / (the number of them
     trivial on the generators): the bound.  No odd-weight vector is
-    needed.
+    needed.  The proof gives the pair image too: H contains A_n, so |H|
+    is n!, or n!/2 when the pair sign, the character (0, 1), is kept;
+    :func:`unshuffle.groups.pair_kernel_order` reads |K| off it.
 
     Samples come from product replacement in a private
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
@@ -455,10 +462,24 @@ class StabilizerChain:
     the whole base in G to be trivial.
 
     After ``_TRIVIAL_SIFTS`` trivial sifts in a row below the bound, the
-    random phase is thrown away and the deterministic closure runs from
-    scratch instead.  It closes the levels deepest first, and each
-    (level, generator) pair keeps a cursor into the orbit, so every
-    Schreier generator is sifted exactly once.
+    random phase stops.  When the bound is ``paired``, the action pi of G
+    on the n mirror pairs can still prove the chain complete.  Its kernel
+    K consists of flip vectors, so |G| = |K| * |pi(G)| with |K| <= 2^f,
+    f = n.  A flip of one pair is a transposition, and each kept
+    character with the sign in it (a = 1) is the sign on K, where the pair
+    sign is 1; with one of them kept, K holds only even flip vectors and
+    f = n - 1.  pi(G) is generated by the generators' pair images, so a
+    chain on them, built the same way, gives |pi(G)|.  If the product P
+    of the orbit sizes equals |pi(G)| * 2^f, then P >= |G|, and with
+    P <= |G| from above, P = |G|: the chain is complete.  2^f must divide
+    P for that, which costs nothing to test, so a group with a small
+    kernel builds no chain on the pairs.
+
+    Where that bound fails too, or is not ``paired``, the random phase is
+    thrown away and the deterministic closure runs from scratch instead.
+    It closes the levels deepest first, and each (level, generator) pair
+    keeps a cursor into the orbit, so every Schreier generator is sifted
+    exactly once.
 
     Either way, on return ``order`` is exact and ``contains`` is a complete
     membership test.
@@ -469,11 +490,13 @@ class StabilizerChain:
         self.degree = degree
         self._identity = identity
         self._start(raws)
-        if raws and not self._random_fill(raws, _SignGroup(raws).order):
-            self._start(raws)
-            i = len(self._levels) - 1
-            while i >= 0:
-                i = self._close_level(i)
+        if raws:
+            bound = _SignGroup(raws)
+            if not (self._random_fill(raws, bound.order) or self._pair_bound(raws, bound)):
+                self._start(raws)
+                i = len(self._levels) - 1
+                while i >= 0:
+                    i = self._close_level(i)
         self.base: tuple[int, ...] = tuple(level.point for level in self._levels)
         self.order: int = math.prod(map(len, self._levels))
 
@@ -520,6 +543,20 @@ class StabilizerChain:
             # levels up to and including the first one it moves
             last = next(i for i, level in enumerate(self._levels) if g[level.point] != level.point)
             self._add_generator(g, 0, last)
+
+    def _pair_bound(self, raws: list[tuple[int, ...]], bound: _SignGroup) -> bool:
+        # whether the orbit sizes multiply to 2^f |pi(G)|, as the class
+        # docstring proves; 2^f must divide the product first, so a group
+        # with a small kernel builds no chain on the pairs
+        if not bound.paired:
+            return False
+        n = self.degree // 2
+        f = n - any(a for a, _ in bound.characters)
+        found = math.prod(map(len, self._levels))
+        if found % (1 << f):
+            return False
+        images = [_wrap(g).pair_permutation() for g in raws]
+        return found == StabilizerChain(images, n).order << f
 
     def _random_fill(self, raws: list[tuple[int, ...]], bound: int) -> bool:
         # sift random elements until the orbit sizes multiply to the bound;

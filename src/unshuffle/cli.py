@@ -1,13 +1,15 @@
 """Command line front end.  See docs/unshuffle.1.md for the full page.
 
 Exit status: 0 success, 1 verification mismatch, 2 usage error,
-3 enumeration infeasible under the requested engine and cap.
+3 enumeration infeasible under the requested engine and cap, 141 standard
+output closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import deque
 
@@ -39,7 +41,8 @@ from .shuffles import (
     word_permutation,
 )
 
-OK, MISMATCH, USAGE, INFEASIBLE = 0, 1, 2, 3
+# 141 is the shell's status for a command killed by SIGPIPE (128 + 13)
+OK, MISMATCH, USAGE, INFEASIBLE, BROKEN_PIPE = 0, 1, 2, 3, 141
 
 
 def _steps(word, deck_size) -> list[dict]:
@@ -304,7 +307,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+    try:
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as head does; Python flushes stdout
+        # again at exit, so point it at the null device to keep that flush
+        # from printing a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     return status
 
 

@@ -32,6 +32,7 @@ from typing import NamedTuple
 from .bsgs import (
     DEFAULT_CAP,
     StabilizerChain,
+    _SignGroup,
     _affine_group,
     _certified_group,
     bfs_enumerate,
@@ -185,23 +186,33 @@ def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
     return left[0], right[0], left[1], right[1]
 
 
-def pair_kernel_order(generators, group_order: int | None = None) -> int:
-    """Order of the kernel of the pair action on the generated group.
+def pair_kernel_order(generators, group=None) -> int:
+    """Order of the kernel K of the pair action pi on the generated group G.
 
-    Computed as |G| / |image| by the first isomorphism theorem.  Each
-    order comes from :func:`compute_group`'s ``auto``: the affine engine
-    on 2^k points, the giant-image certificate, or a stabilizer chain
-    where neither answers (the image at n < 8, for example); pass
-    ``group_order`` if |G| is already known.
+    |K| = |G| / |pi(G)| by the first isomorphism theorem.  ``group`` is
+    the group that :func:`compute_group` returned for the generators, and
+    is computed when it is not given.  Where it is the giant-image
+    certificate's :class:`unshuffle.bsgs._SignGroup` on mirror pairs,
+    the certificate has proved that pi(G) contains A_n, so |pi(G)| is n!,
+    or n!/2 when the pair sign, the character (0, 1), is trivial on G.
+    As |G| = n! * 2^n / c, with c - 1 the number of characters kept,
+    |K| = 2^n / c, doubled in that case, and no factorial is computed.
+    For any other group, |pi(G)| is computed from the generators' pair
+    images by :func:`compute_group`'s ``auto``: the affine engine on 2^k
+    pairs, the certificate, or a stabilizer chain (the image at n < 8,
+    for example).
     """
     gens = list(generators)
-    if group_order is None:
-        group_order = compute_group(gens)[1].order
+    if group is None:
+        group = compute_group(gens)[1]
+    if isinstance(group, _SignGroup) and group.paired:
+        pair_sign_kept = (0, 1) in group.characters
+        return (1 << (group.degree // 2 + pair_sign_kept)) // (1 + len(group.characters))
     images = [g.pair_permutation() for g in gens]
     image_order = compute_group(images)[1].order
-    if group_order % image_order:
+    if group.order % image_order:
         raise ValueError("group order is not divisible by pair-image order")
-    return group_order // image_order
+    return group.order // image_order
 
 
 # --- classic generator words over the perfect shuffles ---
@@ -380,7 +391,7 @@ def verify_deck_size(
 
     kernel_computed = kernel_predicted = None
     if family == "unshuffle" and prediction.kernel_order is not None:
-        kernel_computed = pair_kernel_order(gens, group_order=group.order)
+        kernel_computed = pair_kernel_order(gens, group)
         kernel_predicted = prediction.kernel_order
 
     parities = computed_parity_row(deck_size)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup
 
+from unshuffle import bsgs
 from unshuffle.bsgs import (
     DEFAULT_CAP,
     EnumerationCapExceeded,
@@ -30,7 +31,7 @@ from unshuffle.groups import (
     predict_group,
 )
 from unshuffle.perm import Permutation, random_centrally_symmetric
-from unshuffle.shuffles import shuffle_permutation, word_permutation
+from unshuffle.shuffles import shuffle_order, shuffle_permutation, word_permutation
 
 S3_GENS = [Permutation([1, 0, 2]), Permutation([0, 2, 1])]
 A4_GENS = [Permutation([1, 2, 0, 3]), Permutation([0, 2, 3, 1])]
@@ -231,7 +232,8 @@ class TestStabilizerChain:
         assert Permutation([2, 1, 0]) in chain
 
     def test_deterministic_rebuild(self):
-        # 24 falls back to the closure; 20 and 52 stop at the order bound
+        # 24 stalls below the sign bound and is proved by the pair bound;
+        # 20 and 52 stop at the sign bound
         for size in (20, 24, 52):
             gens = [shuffle_permutation("L", size), shuffle_permutation("R", size)]
             a = StabilizerChain(gens)
@@ -690,6 +692,82 @@ class TestFallback:
         candidates += [random_centrally_symmetric(rng, 26) for _ in range(8)]
         for p in candidates:
             assert chain.contains(p) == (p in closure)
+
+
+class TestPairBound:
+    """A random phase that stalls below the sign bound, kept when its orbit
+    sizes multiply to 2^f times the order of a chain on the pair images."""
+
+    @staticmethod
+    def verdicts(monkeypatch):
+        # every answer the pair bound gives, in build order
+        verdicts = []
+        true_bound = StabilizerChain._pair_bound
+
+        def pair_bound(chain, raws, bound):
+            verdicts.append(true_bound(chain, raws, bound))
+            return verdicts[-1]
+
+        monkeypatch.setattr(StabilizerChain, "_pair_bound", pair_bound)
+        return verdicts
+
+    def test_random_symmetric_sets_match_bfs(self, monkeypatch):
+        verdicts = self.verdicts(monkeypatch)
+        rng = random.Random(20)
+        for _ in range(200):
+            pairs = rng.randint(2, 6)
+            d = 2 * pairs
+            gens = [random_centrally_symmetric(rng, pairs) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                # one flipped pair: a large kernel over a small pair image
+                gens.append(Permutation([d - 1, *range(1, d - 1), 0]))
+            chain = StabilizerChain(gens)
+            closure = bfs_enumerate(gens)
+            assert chain.order == closure.order, gens
+            identity = Permutation.identity(d)
+            members = [math.prod(rng.choices(gens, k=5), start=identity) for _ in range(4)]
+            symmetric = [random_centrally_symmetric(rng, pairs) for _ in range(8)]
+            for p in members + symmetric:
+                assert chain.contains(p) == (p in closure)
+        # the pair bound both kept and refused random phases
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
+    @pytest.mark.parametrize("size", [12, 24])
+    def test_special_sizes_close_no_level(self, monkeypatch, family, size):
+        # the chains on the pair images (PGL(2,5) on 6 points, M_12 on 12)
+        # still close; the chain on the deck is never rebuilt
+        true_close = StabilizerChain._close_level
+
+        def close_level(chain, i):
+            if chain.degree == size:
+                raise AssertionError("the closure ran on the deck")
+            return true_close(chain, i)
+
+        monkeypatch.setattr(StabilizerChain, "_close_level", close_level)
+        gens = family_generators(family, size)
+        a, b = StabilizerChain(gens), StabilizerChain(gens)
+        assert a.order == b.order == predict_group(family, size).order
+        assert a.base == b.base
+        assert a.strong_generators == b.strong_generators
+
+    def test_a_product_below_the_pair_bound_is_refused(self):
+        # the 12-card chain holds 7680 = 2^9 * 15 elements; read as a chain
+        # of B_6, whose pair bound is 2^6 * 720, it is divisible but short
+        chain = StabilizerChain(family_generators("unshuffle", 12))
+        lifts = (([1, 0, 2, 3, 4, 5], ()), ([1, 2, 3, 4, 5, 0], ()), (range(6), {0}))
+        hyperoctahedral = [symmetric_lift(image, flips, 6).image for image, flips in lifts]
+        assert not chain._pair_bound(hyperoctahedral, _SignGroup(hyperoctahedral))
+
+    def test_small_kernel_builds_no_pair_chain(self, monkeypatch):
+        # <I> has far fewer elements than 2^500, so the divisibility test
+        # refuses it before any chain on the pairs is built
+        def no_pair_chain(*args):
+            raise AssertionError("a chain on the pairs was built")
+
+        monkeypatch.setattr(bsgs, "StabilizerChain", no_pair_chain)
+        chain = StabilizerChain([shuffle_permutation("I", 1002)])
+        assert chain.order == shuffle_order("I", 1002)
 
 
 @pytest.mark.parametrize("size", [100, 130, 200])

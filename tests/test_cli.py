@@ -3,12 +3,17 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unshuffle
 from unshuffle import groups, perm
 from unshuffle.cli import main
 from unshuffle.shuffles import Step, shuffle_permutation
@@ -529,7 +534,7 @@ class TestVerify:
         monkeypatch.setattr(
             groups,
             "pair_kernel_order",
-            lambda gens, group_order=None: true_kernel(gens, group_order)
+            lambda gens, group=None: true_kernel(gens, group)
             * (2 if len(gens[0]) == 6 else 1),
         )
         code, out, _ = run_cli("verify", "--min", 4, "--max", 6)
@@ -574,3 +579,17 @@ class TestUsage:
 
     def test_help_exits_zero(self, run_cli):
         assert run_cli("--help")[0] == 0
+
+    def test_reader_closes_the_pipe_early(self, tmp_path):
+        # 65536 cards print about 380 kB, more than a pipe holds, so the
+        # command is still writing when the reader stops after 10 bytes
+        paths = [str(Path(unshuffle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = [sys.executable, "-m", "unshuffle", "shuffle", "--deck", "65536", "--word", "L'"]
+        with open(tmp_path / "stderr.txt", "wb") as stderr:
+            process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=env)
+            assert process.stdout.read(10) == b"32767,6553"
+            process.stdout.close()
+            code = process.wait(timeout=60)
+        assert (tmp_path / "stderr.txt").read_bytes() == b""
+        assert code == 141

@@ -219,7 +219,46 @@ class TestKernel:
 
     def test_known_group_order_shortcut(self):
         gens = family_generators("unshuffle", 6)
-        assert pair_kernel_order(gens, group_order=48) == 8
+        assert pair_kernel_order(gens, group=compute_group(gens)[1]) == 8
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_certificate_gives_the_pair_image(self, family):
+        # the kernel read off the certificate's proof, against the group
+        # order over the order computed from the pair images
+        for size in range(18, 61, 2):
+            gens = family_generators(family, size)
+            engine, group = compute_group(gens)
+            if engine != "certificate":
+                continue
+            images = [g.pair_permutation() for g in gens]
+            image_order = compute_group(images)[1].order
+            assert pair_kernel_order(gens, group) == group.order // image_order, size
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_special_sizes_through_the_chain(self, family):
+        # Z_2^6 : S_5 and Z_2^11 : M_12, each as its kernel over its image
+        assert pair_kernel_order(family_generators(family, 12)) == 2**6
+        assert pair_kernel_order(family_generators(family, 24)) == 2**11
+
+    def test_one_certificate_per_record(self, monkeypatch):
+        calls = []
+        true_certificate = groups._certified_group
+
+        def certificate(gens):
+            calls.append(len(gens[0]))
+            return true_certificate(gens)
+
+        monkeypatch.setattr(groups, "_certified_group", certificate)
+        certified = 0
+        for size in range(18, 61, 2):
+            calls.clear()
+            record = verify_deck_size(size, "unshuffle")
+            if record.engine_used == "certificate":
+                assert record.kernel_order_computed is not None
+                assert calls == [size]
+                certified += 1
+        # [18, 60] without 24 and 32
+        assert certified == 20
 
 
 class TestClassicWords:
