@@ -33,16 +33,15 @@ or prove the group without either:
   and stops as soon as the product of its orbit sizes reaches the order of
   the :class:`_SignGroup`, an upper bound proved from the generators alone
   (central symmetry, sign and pair sign for the shuffle groups; S_d or A_d
-  otherwise).  Meeting the bound certifies the chain
-  complete.  Where the random phase stalls below it, a centrally symmetric
-  chain is still certified when its orbit sizes multiply to 2^f times the
-  order of a chain on the generators' pair images, f = n or n-1, the
-  most a kernel of the pair action can hold (the shuffle groups at
-  2n = 12 and 24).  Only where that pair bound fails too (the shuffle
-  groups at 2^k, the pair images at 12 and 24, most other generator
-  sets) does the build run the deterministic, incremental Schreier-Sims
-  closure instead, in which orbits and transversals grow in place and
-  each Schreier generator is sifted once.
+  otherwise).  Meeting the bound certifies the chain complete.  Where the
+  random phase stalls below it, a centrally symmetric chain is still
+  certified when its orbit sizes multiply to the order of a chain on the
+  generators' pair images times the bound's pair kernel (the shuffle
+  groups at 2n = 12 and 24).  Only where that pair bound fails too (the
+  shuffle groups at 2^k, the pair images at 12 and 24, most other
+  generator sets) does the build run the deterministic, incremental
+  Schreier-Sims closure instead, in which orbits and transversals grow in
+  place and each Schreier generator is sifted once.
   The group order falls out as the product of orbit sizes and membership
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
@@ -190,9 +189,17 @@ class _SignGroup:
     one trivial on every generator (``characters``, 1 left out), and these
     kernels meet in a subgroup whose index is their count.  Otherwise the
     group lies in S_d, or in A_d when every generator is even.
+
+    A paired bound's ``kernel``, 2^f, is the order of its own kernel on
+    the mirror pairs: the flip vectors on which every kept character is
+    +1.  The pair sign is +1 on each flip vector, and the sign is -1 on a
+    flip of one pair, a transposition, so a kept character with the sign
+    in it (a = 1) keeps the even vectors, f = n - 1, and f = n otherwise.
+    The kernel of the pair action on any group inside the bound lies in
+    this one.  ``kernel`` is None unless ``paired``.
     """
 
-    __slots__ = ("degree", "paired", "characters", "order")
+    __slots__ = ("degree", "paired", "characters", "order", "kernel")
 
     def __init__(self, raws: list[tuple[int, ...]]):
         # raws are the nonempty image tuples of _normalize, already checked
@@ -205,6 +212,7 @@ class _SignGroup:
         for g in raws:
             self.characters = self._trivial(g)
         self.order = size // (1 + len(self.characters))
+        self.kernel = 1 << (d // 2 - any(a for a, _ in self.characters)) if self.paired else None
 
     def _trivial(self, g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         # the characters kept so far that are +1 on g
@@ -265,9 +273,7 @@ def _certified_group(generators) -> _SignGroup | None:
     B_n / [B_n, B_n] is Z_2^2, whose four characters are the ones
     :class:`_SignGroup` counts, so |G| = |B_n| / (the number of them
     trivial on the generators): the bound.  No odd-weight vector is
-    needed.  The proof gives the pair image too: H contains A_n, so |H|
-    is n!, or n!/2 when the pair sign, the character (0, 1), is kept;
-    :func:`unshuffle.groups.pair_kernel_order` reads |K| off it.
+    needed.
 
     Samples come from product replacement in a private
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
@@ -463,17 +469,15 @@ class StabilizerChain:
 
     After ``_TRIVIAL_SIFTS`` trivial sifts in a row below the bound, the
     random phase stops.  When the bound is ``paired``, the action pi of G
-    on the n mirror pairs can still prove the chain complete.  Its kernel
-    K consists of flip vectors, so |G| = |K| * |pi(G)| with |K| <= 2^f,
-    f = n.  A flip of one pair is a transposition, and each kept
-    character with the sign in it (a = 1) is the sign on K, where the pair
-    sign is 1; with one of them kept, K holds only even flip vectors and
-    f = n - 1.  pi(G) is generated by the generators' pair images, so a
-    chain on them, built the same way, gives |pi(G)|.  If the product P
-    of the orbit sizes equals |pi(G)| * 2^f, then P >= |G|, and with
-    P <= |G| from above, P = |G|: the chain is complete.  2^f must divide
-    P for that, which costs nothing to test, so a group with a small
-    kernel builds no chain on the pairs.
+    on the n mirror pairs can still prove the chain complete:
+    |G| = |K| * |pi(G)|, and the kernel K holds at most the bound's
+    ``kernel`` elements (see :class:`_SignGroup`).  pi(G) is generated by
+    the generators' pair images, so a chain on them, built the same way,
+    gives |pi(G)|.  If the product P of the orbit sizes equals
+    |pi(G)| * ``kernel``, then P >= |G|, and with P <= |G| from above,
+    P = |G|: the chain is complete.  ``kernel`` must divide P for that,
+    which costs nothing to test, so a group with a small kernel builds no
+    chain on the pairs.
 
     Where that bound fails too, or is not ``paired``, the random phase is
     thrown away and the deterministic closure runs from scratch instead.
@@ -545,18 +549,17 @@ class StabilizerChain:
             self._add_generator(g, 0, last)
 
     def _pair_bound(self, raws: list[tuple[int, ...]], bound: _SignGroup) -> bool:
-        # whether the orbit sizes multiply to 2^f |pi(G)|, as the class
-        # docstring proves; 2^f must divide the product first, so a group
-        # with a small kernel builds no chain on the pairs
+        # whether the orbit sizes multiply to |pi(G)| times the bound's
+        # kernel, as the class docstring proves; the kernel must divide the
+        # product first, so a group with a small kernel builds no chain on
+        # the pairs
         if not bound.paired:
             return False
-        n = self.degree // 2
-        f = n - any(a for a, _ in bound.characters)
         found = math.prod(map(len, self._levels))
-        if found % (1 << f):
+        if found % bound.kernel:
             return False
         images = [_wrap(g).pair_permutation() for g in raws]
-        return found == StabilizerChain(images, n).order << f
+        return found == StabilizerChain(images, self.degree // 2).order * bound.kernel
 
     def _random_fill(self, raws: list[tuple[int, ...]], bound: int) -> bool:
         # sift random elements until the orbit sizes multiply to the bound;

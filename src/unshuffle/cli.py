@@ -66,10 +66,9 @@ def _parse_step(token: str) -> Step:
 
 
 def _parse_generators(gens: str, deck_size: int):
-    if gens == "LR":
-        return family_generators("unshuffle", deck_size)
-    if gens == "IO":
-        return family_generators("perfect", deck_size)
+    for family, letters in FAMILIES.items():
+        if gens == "".join(letters):
+            return family_generators(family, deck_size)
     words = [w.strip() for w in gens.split(",")]
     if not all(words):
         raise ValueError(f"bad generator list {gens!r}")
@@ -115,8 +114,8 @@ def _cmd_order(args):
 
 
 def _cmd_swap(args):
-    k = power_of_two_exponent(args.deck)
-    if k is None or k < 1:
+    k = power_of_two_exponent(check_deck_size(args.deck))
+    if k is None:
         raise ValueError(f"swap words need a power-of-two deck size, got {args.deck}")
     word = unshuffle_swap_word(args.a, args.b, k)
     steps = _steps(word, args.deck)

@@ -189,25 +189,20 @@ def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
 def pair_kernel_order(generators, group=None) -> int:
     """Order of the kernel K of the pair action pi on the generated group G.
 
-    |K| = |G| / |pi(G)| by the first isomorphism theorem.  ``group`` is
-    the group that :func:`compute_group` returned for the generators, and
-    is computed when it is not given.  Where it is the giant-image
-    certificate's :class:`unshuffle.bsgs._SignGroup` on mirror pairs,
-    the certificate has proved that pi(G) contains A_n, so |pi(G)| is n!,
-    or n!/2 when the pair sign, the character (0, 1), is trivial on G.
-    As |G| = n! * 2^n / c, with c - 1 the number of characters kept,
-    |K| = 2^n / c, doubled in that case, and no factorial is computed.
-    For any other group, |pi(G)| is computed from the generators' pair
-    images by :func:`compute_group`'s ``auto``: the affine engine on 2^k
-    pairs, the certificate, or a stabilizer chain (the image at n < 8,
-    for example).
+    ``group`` is the group that :func:`compute_group` returned for the
+    generators, and is computed when it is not given.  Where it is the
+    certificate's :class:`unshuffle.bsgs._SignGroup` on mirror pairs, G
+    is that bound group, and |K| is its ``kernel``.  For any other group,
+    |K| = |G| / |pi(G)| by the first isomorphism theorem, with |pi(G)|
+    computed from the generators' pair images by :func:`compute_group`'s
+    ``auto``: the affine engine on 2^k pairs, the certificate, or a
+    stabilizer chain (the image at n < 8, for example).
     """
     gens = list(generators)
     if group is None:
         group = compute_group(gens)[1]
     if isinstance(group, _SignGroup) and group.paired:
-        pair_sign_kept = (0, 1) in group.characters
-        return (1 << (group.degree // 2 + pair_sign_kept)) // (1 + len(group.characters))
+        return group.kernel
     images = [g.pair_permutation() for g in gens]
     image_order = compute_group(images)[1].order
     if group.order % image_order:

@@ -367,6 +367,22 @@ class TestOrderBound:
         # none, each one alone, and all three
         assert len(seen) == 5
 
+    def test_kernel_counts_the_flip_vectors_in_the_bound(self):
+        # 2^f against the flip vectors that the bound's own membership test
+        # accepts, for each kept-character set, at 2n <= 16
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            gens = [random_centrally_symmetric(rng, n) for _ in range(rng.randint(1, 3))]
+            bound = _SignGroup([g.image for g in gens])
+            flips = itertools.chain.from_iterable(
+                itertools.combinations(range(n), r) for r in range(n + 1)
+            )
+            assert bound.kernel == sum(symmetric_lift(range(n), set(f), n) in bound for f in flips)
+            seen.add(bound.characters)
+        assert len(seen) == 5
+
     def test_keeps_the_sign_on_points_when_every_generator_is_even(self):
         rng = random.Random(43)
         seen = set()
@@ -378,6 +394,7 @@ class TestOrderBound:
             even = all(g.parity() == 1 for g in gens)
             bound = _SignGroup([g.image for g in gens])
             assert not bound.paired and bound.characters == (((1, 0),) if even else ())
+            assert bound.kernel is None
             seen.add(even)
         assert seen == {False, True}
 

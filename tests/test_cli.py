@@ -195,6 +195,19 @@ class TestSwap:
         assert code == 2
         assert "power-of-two" in err
 
+    @pytest.mark.parametrize(
+        "deck, message",
+        [
+            (2097152, "deck size 2097152 exceeds the supported maximum 1048576"),
+            (1, "deck size must be a positive even integer, got 1"),
+        ],
+    )
+    def test_deck_size_checked_first(self, run_cli, deck, message):
+        # the message names the deck the user typed, as every --deck command does
+        code, _, err = run_cli("swap", "--deck", deck, "--a", 0, "--b", 1)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_position_out_of_range(self, run_cli):
         code, _, _ = run_cli("swap", "--deck", 8, "--a", 0, "--b", 8)
         assert code == 2
