@@ -9,7 +9,6 @@ predictions.
 """
 
 from .bsgs import (
-    DEFAULT_CAP,
     Closure,
     EnumerationCapExceeded,
     StabilizerChain,
@@ -55,7 +54,6 @@ from .shuffles import (
 )
 
 __all__ = [
-    "DEFAULT_CAP",
     "Closure",
     "EnumerationCapExceeded",
     "FAMILIES",

@@ -23,7 +23,8 @@ or prove the group without either:
   2^k, intransitive or imprimitive groups, small degrees).
 
 * :func:`bfs_enumerate` walks the Cayley graph breadth first and returns the
-  full element set.  Exact but memory bound; it refuses to grow past a cap.
+  full element set.  Exact but memory bound; it refuses to grow past
+  ``BFS_MAX_ELEMENTS`` elements.
   Elements are packed into bytes and each generator is padded once to a
   256-byte table, so composing an element with a generator is one
   ``bytes.translate`` call, done in C.
@@ -67,8 +68,10 @@ from collections.abc import Iterable, Iterator, Mapping
 
 from .perm import Permutation, _compose, _cycle_type, _invert, _signs, _wrap
 
-DEFAULT_CAP = 10_000_000
 BFS_MAX_DEGREE = 255
+# about degree + 80 bytes an element, so at most ~335 MB at 255 points; the
+# largest shuffle group BFS checks, <L, R> at 14 cards, has 645,120
+BFS_MAX_ELEMENTS = 1_000_000
 
 # Random elements: a fixed seed, so every build of the same generator list
 # gives the same chain and the same certificate; product replacement with
@@ -86,8 +89,9 @@ _CERTIFICATE_SAMPLES = 150
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """BFS cannot enumerate the group: it has more elements than the cap,
-    or more than ``BFS_MAX_DEGREE`` points; use a StabilizerChain instead."""
+    """BFS cannot enumerate the group: it has more than ``BFS_MAX_ELEMENTS``
+    elements or more than ``BFS_MAX_DEGREE`` points; use a StabilizerChain
+    instead."""
 
 
 def _raw(p) -> tuple[int, ...]:
@@ -113,7 +117,7 @@ class Closure:
 
     __slots__ = ("degree", "elements")
 
-    def __init__(self, degree: int, elements: frozenset[bytes]):
+    def __init__(self, degree: int, elements: set[bytes]):
         self.degree = degree
         self.elements = elements
 
@@ -132,15 +136,13 @@ class Closure:
     def __eq__(self, other) -> bool:
         return isinstance(other, Closure) and self.elements == other.elements
 
-    def __hash__(self):
-        return hash(self.elements)
 
-
-def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
+def bfs_enumerate(generators: Iterable) -> Closure:
     """Enumerate every element of the group the generators produce.
 
     Raises :class:`EnumerationCapExceeded` past ``BFS_MAX_DEGREE`` points,
-    and as soon as the element count, identity included, passes ``cap``.
+    and as soon as the element count, identity included, passes
+    ``BFS_MAX_ELEMENTS``.
     """
     raws, degree, identity = _normalize(generators)
     if degree > BFS_MAX_DEGREE:
@@ -148,10 +150,9 @@ def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
             f"bfs_enumerate packs images into bytes, so it takes at most "
             f"{BFS_MAX_DEGREE} points, not {degree}; use the schreier engine"
         )
-    if cap < 1:
-        raise _cap_exceeded(cap)
     # p.translate(table) maps each image x of p to g[x]: the product "p then g"
     tables = [bytes(g) + bytes(256 - degree) for g in raws]
+    limit = BFS_MAX_ELEMENTS
     start = bytes(identity)
     seen = {start}
     frontier = [start]
@@ -161,19 +162,15 @@ def bfs_enumerate(generators: Iterable, cap: int = DEFAULT_CAP) -> Closure:
             for table in tables:
                 q = p.translate(table)
                 if q not in seen:
-                    if len(seen) >= cap:
-                        raise _cap_exceeded(cap)
+                    if len(seen) >= limit:
+                        raise EnumerationCapExceeded(
+                            f"group has more than {limit} elements; "
+                            "enumeration is infeasible, use the schreier engine"
+                        )
                     seen.add(q)
                     next_frontier.append(q)
         frontier = next_frontier
-    return Closure(degree, frozenset(seen))
-
-
-def _cap_exceeded(cap: int) -> EnumerationCapExceeded:
-    return EnumerationCapExceeded(
-        f"group has more than {cap} elements; "
-        "enumeration is infeasible, use the schreier engine"
-    )
+    return Closure(degree, seen)
 
 
 class _SignGroup:

@@ -1,7 +1,7 @@
 """Command line front end.  See docs/unshuffle.1.md for the full page.
 
 Exit status: 0 success, 1 verification mismatch, 2 usage error,
-3 enumeration infeasible under the requested engine and cap, 141 standard
+3 enumeration infeasible under the requested engine, 141 standard
 output closed before the output was written.
 """
 
@@ -16,7 +16,7 @@ from collections import deque
 # StabilizerChain and bfs_enumerate are not called here, but
 # perfbench/tracing.py rebinds them in this module, so the names must stay
 # bound
-from .bsgs import DEFAULT_CAP, EnumerationCapExceeded, StabilizerChain, bfs_enumerate  # noqa: F401
+from .bsgs import EnumerationCapExceeded, StabilizerChain, bfs_enumerate  # noqa: F401
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
@@ -136,7 +136,7 @@ def _cmd_elmsley(args):
 
 def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
-    engine_used, group = compute_group(gens, args.engine, args.cap)
+    engine_used, group = compute_group(gens, args.engine)
     order = decimal_text(group.order)
     payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
     return OK, payload, [order]
@@ -189,7 +189,7 @@ def _cmd_verify(args):
         raise ValueError(f"no even deck sizes in [{args.min}, {args.max}]")
     check_deck_size(sizes[0])
     check_deck_size(sizes[-1])
-    records = verify_deck_sizes(sizes, engine=args.engine, cap=args.cap)
+    records = verify_deck_sizes(sizes, engine=args.engine)
     payload = [r.to_fields() for r in records]
     if args.out:
         try:
@@ -205,16 +205,8 @@ def _add_deck(parser):
     parser.add_argument("--deck", type=int, required=True, help="deck size (even)")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
 def _add_engine(parser):
     parser.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
-    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="positive BFS element cap")
 
 
 def _add_format(parser, choices=("text", "json"), default="text"):

@@ -30,7 +30,6 @@ from typing import NamedTuple
 # compute_group looks StabilizerChain and bfs_enumerate up in this module,
 # where perfbench/tracing.py rebinds them
 from .bsgs import (
-    DEFAULT_CAP,
     StabilizerChain,
     _SignGroup,
     _affine_group,
@@ -59,7 +58,7 @@ def family_generators(family: str, deck_size: int) -> tuple[Permutation, Permuta
     return shuffle_permutation(a, deck_size), shuffle_permutation(b, deck_size)
 
 
-def compute_group(generators: Sequence, engine: str = "auto", cap: int = DEFAULT_CAP):
+def compute_group(generators: Sequence, engine: str = "auto"):
     """The package's one engine policy: the engine that answered and the
     generated group, which has its exact ``order`` and ``p in group``.
 
@@ -71,7 +70,8 @@ def compute_group(generators: Sequence, engine: str = "auto", cap: int = DEFAULT
     where both give None; all three are exact, and the first two answer
     at any scale.  ``schreier`` forces the chain, and ``bfs`` runs the
     enumeration, the independent check, which raises
-    :class:`EnumerationCapExceeded` past ``cap`` elements or 255 points.
+    :class:`EnumerationCapExceeded` past its fixed element limit or 255
+    points.
     Any other engine is a ValueError.
     """
     if engine == "auto":
@@ -85,7 +85,7 @@ def compute_group(generators: Sequence, engine: str = "auto", cap: int = DEFAULT
     if engine == "schreier":
         return engine, StabilizerChain(generators)
     if engine == "bfs":
-        return engine, bfs_enumerate(generators, cap)
+        return engine, bfs_enumerate(generators)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -94,10 +94,10 @@ def group_contains(generators: Sequence, p) -> bool:
     return p in compute_group(generators)[1]
 
 
-def group_order(generators: Sequence, cap: int = DEFAULT_CAP, engine: str = "auto") -> int:
+def group_order(generators: Sequence, engine: str = "auto") -> int:
     """Order of the generated group by the requested engine; see
     :func:`compute_group`."""
-    return compute_group(generators, engine, cap)[1].order
+    return compute_group(generators, engine)[1].order
 
 
 def power_of_two_exponent(m: int) -> int | None:
@@ -364,9 +364,7 @@ class VerificationRecord:
         return fields
 
 
-def verify_deck_size(
-    deck_size: int, family: str, engine: str = "auto", cap: int = DEFAULT_CAP
-) -> VerificationRecord:
+def verify_deck_size(deck_size: int, family: str, engine: str = "auto") -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
     ``match`` says that three things agree: the computed order with the
@@ -375,14 +373,14 @@ def verify_deck_size(
     :func:`predict_group` gives a ``kernel_order``), its order with the
     predicted one.  The engine is :func:`compute_group`'s; ``engine_used``
     names the one that answered.  The prediction only supplies the
-    expected value, never the engine.  A forced ``bfs`` run past the cap or
-    the byte limit (more than 255 cards) raises
+    expected value, never the engine.  A forced ``bfs`` run past the
+    element limit or the byte limit (more than 255 cards) raises
     :class:`unshuffle.bsgs.EnumerationCapExceeded`, as :func:`compute_group`
     does, so a sweep stops at its first such record.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    engine_used, group = compute_group(gens, engine, cap)
+    engine_used, group = compute_group(gens, engine)
 
     kernel_computed = kernel_predicted = None
     if family == "unshuffle" and prediction.kernel_order is not None:
@@ -408,16 +406,14 @@ def verify_deck_size(
     )
 
 
-def verify_deck_sizes(
-    deck_sizes, engine: str = "auto", cap: int = DEFAULT_CAP
-) -> list[VerificationRecord]:
+def verify_deck_sizes(deck_sizes, engine: str = "auto") -> list[VerificationRecord]:
     """Verification records for both families at each deck size, sorted by
     deck size then family name, so equal inputs give identical output."""
     sizes = sorted({check_deck_size(s) for s in deck_sizes})
     records = []
     for deck_size in sizes:
         for family in sorted(FAMILIES):
-            records.append(verify_deck_size(deck_size, family, engine=engine, cap=cap))
+            records.append(verify_deck_size(deck_size, family, engine=engine))
     return records
 
 

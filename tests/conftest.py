@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from unshuffle import bsgs
 from unshuffle.cli import main
 
 
@@ -15,6 +16,16 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def bfs_limit(monkeypatch):
+    """Set the element limit that bfs_enumerate reads at each call."""
+
+    def set_limit(limit):
+        monkeypatch.setattr(bsgs, "BFS_MAX_ELEMENTS", limit)
+
+    return set_limit
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

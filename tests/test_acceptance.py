@@ -12,7 +12,7 @@ import math
 import random
 import time
 
-from unshuffle.bsgs import DEFAULT_CAP, StabilizerChain, bfs_enumerate
+from unshuffle.bsgs import BFS_MAX_ELEMENTS, StabilizerChain, bfs_enumerate
 from unshuffle.cli import main as cli_main
 from unshuffle.elmsley import perfect_elmsley_word, unshuffle_swap_word
 from unshuffle.groups import (
@@ -203,7 +203,7 @@ def test_criterion_08_chain_group_orders():
     for size in range(2, 53, 2):
         for family in ("perfect", "unshuffle"):
             gens = family_generators(family, size)
-            if predict_group(family, size).order <= DEFAULT_CAP:
+            if predict_group(family, size).order <= BFS_MAX_ELEMENTS:
                 if bfs_enumerate(gens).order != StabilizerChain(gens).order:
                     failures.append(("engines", size, family))
     finish(8, t0, failures, "stabilizer chain orders match predictions at 2n in [18,52]; engines agree where BFS fits")

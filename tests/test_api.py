@@ -5,7 +5,7 @@ from unshuffle import elmsley, groups
 
 # the public API; a name leaves or joins it only with a CHANGES.md entry
 EXPORTED = {
-    "Closure", "DEFAULT_CAP", "EnumerationCapExceeded", "FAMILIES", "GroupPrediction",
+    "Closure", "EnumerationCapExceeded", "FAMILIES", "GroupPrediction",
     "LETTERS", "MAX_DECK", "Permutation", "StabilizerChain", "Step", "SubstitutionResult",
     "VerificationRecord", "Word", "as_word", "bfs_enumerate", "check_deck_size",
     "deal_permutation", "diaconis_words", "family_generators", "format_word",

@@ -12,7 +12,6 @@ from sympy.combinatorics.perm_groups import PermutationGroup
 
 from unshuffle import bsgs
 from unshuffle.bsgs import (
-    DEFAULT_CAP,
     EnumerationCapExceeded,
     StabilizerChain,
     _affine_form,
@@ -135,19 +134,21 @@ class TestBfs:
         assert bfs_enumerate(S3_GENS) == bfs_enumerate(list(reversed(S3_GENS)))
         assert bfs_enumerate(S3_GENS) != bfs_enumerate(A4_GENS)
 
-    def test_cap(self):
+    def test_cap(self, bfs_limit):
+        bfs_limit(100)
         with pytest.raises(EnumerationCapExceeded):
-            bfs_enumerate(symmetric_gens(6), cap=100)
+            bfs_enumerate(symmetric_gens(6))
 
-    def test_cap_boundary(self):
-        # exactly at the cap is allowed
-        assert bfs_enumerate(S3_GENS, cap=6).order == 6
+    def test_cap_boundary(self, bfs_limit):
+        # exactly at the limit is allowed
+        bfs_limit(6)
+        assert bfs_enumerate(S3_GENS).order == 6
+        bfs_limit(5)
         with pytest.raises(EnumerationCapExceeded):
-            bfs_enumerate(S3_GENS, cap=5)
+            bfs_enumerate(S3_GENS)
         # the identity is an element too
-        assert bfs_enumerate([Permutation.identity(2)], cap=1).order == 1
-        with pytest.raises(EnumerationCapExceeded):
-            bfs_enumerate([Permutation.identity(2)], cap=0)
+        bfs_limit(1)
+        assert bfs_enumerate([Permutation.identity(2)]).order == 1
 
     def test_byte_boundary(self):
         # 255 is the last degree whose images fit the 256-byte translate table
@@ -860,11 +861,9 @@ class TestDispatch:
         with pytest.raises(ValueError):
             group_order(S3_GENS, engine="magic")
 
-    def test_group_order_respects_cap(self):
+    def test_group_order_respects_cap(self, bfs_limit):
+        bfs_limit(1000)
         with pytest.raises(EnumerationCapExceeded):
-            group_order(symmetric_gens(7), cap=1000, engine="bfs")
-        # the chain engine has no cap to hit
-        assert group_order(symmetric_gens(7), cap=1000) == math.factorial(7)
-
-    def test_default_cap_value(self):
-        assert DEFAULT_CAP == 10_000_000
+            group_order(symmetric_gens(7), engine="bfs")
+        # the chain engine has no limit to hit
+        assert group_order(symmetric_gens(7)) == math.factorial(7)

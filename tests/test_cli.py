@@ -19,6 +19,13 @@ from unshuffle.cli import main
 from unshuffle.shuffles import Step, shuffle_permutation
 
 
+def child_env():
+    """The environment for a child ``python -m unshuffle``, importing this
+    checkout's package."""
+    paths = [str(Path(unshuffle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def one_deck(command, size):
     """Arguments running group-order or verify at one deck size."""
     if command == "group-order":
@@ -297,18 +304,36 @@ class TestGroupOrder:
         assert out.strip() == groups.decimal_text(groups.predict_group("perfect", 2848).order)
 
     @pytest.mark.parametrize("command", ["group-order", "verify"])
-    def test_bfs_cap_exhaustion_is_infeasible(self, run_cli, command):
-        code, out, err = run_cli(*one_deck(command, 20), "--engine", "bfs", "--cap", 1000)
+    def test_bfs_cap_exhaustion_is_infeasible(self, run_cli, bfs_limit, command):
+        bfs_limit(1000)
+        code, out, err = run_cli(*one_deck(command, 20), "--engine", "bfs")
         assert (code, out) == (3, "")
         assert "error:" in err
 
-    @pytest.mark.parametrize("cap", [0, -5])
-    @pytest.mark.parametrize("command", ["group-order", "verify"])
-    def test_non_positive_cap_is_usage_error(self, run_cli, command, cap):
-        # a bad flag, not an infeasible group, whatever the engine
-        code, out, err = run_cli(*one_deck(command, 6), "--cap", cap)
-        assert (code, out) == (2, "")
-        assert "--cap" in err
+    def test_forced_bfs_stops_in_bounded_memory(self):
+        # the unpatched element limit ends <L, R> at 18 cards, 9! * 2^9
+        # elements, long before the enumeration fills memory.  A child's
+        # ru_maxrss counts the process it was forked from, so a small
+        # launcher runs the command and prints its exit code and peak
+        launcher = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "child.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(child.returncode, usage.ru_maxrss)\n"
+        )
+        argv = [
+            sys.executable, "-c", launcher,
+            sys.executable, "-m", "unshuffle", "group-order", "--deck", "18", "--engine", "bfs",
+        ]
+        done = subprocess.run(
+            argv, capture_output=True, text=True, env=child_env(), timeout=120, check=True
+        )
+        code, peak = map(int, done.stdout.split())
+        assert code == 3
+        assert done.stderr.startswith("error: ")
+        # ru_maxrss is in kilobytes on Linux
+        assert peak < 250 * 1024
 
     @pytest.mark.parametrize("family, letters", [("LR", "L,R"), ("IO", "I,O")])
     def test_family_equals_its_letter_list(self, run_cli, family, letters):
@@ -465,23 +490,25 @@ class TestVerify:
         assert [entry["family"] for entry in parsed] == ["perfect", "unshuffle"]
         assert parsed[1]["kernel_order_computed"] == "8"
 
-    def test_infeasible_exit_code(self, run_cli, tmp_path):
+    def test_infeasible_exit_code(self, run_cli, bfs_limit, tmp_path):
         # the run ends at the first infeasible record: no record lines and
         # no partial report
+        bfs_limit(1000)
         path = tmp_path / "report.json"
         code, out, err = run_cli(
-            "verify", "--min", 18, "--max", 18, "--engine", "bfs", "--cap", 1000,
-            "--out", path,
+            "verify", "--min", 18, "--max", 18, "--engine", "bfs", "--out", path
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
         assert not path.exists()
 
-    def test_forced_bfs_past_byte_limit_is_infeasible(self, run_cli, tmp_path):
+    def test_forced_bfs_past_byte_limit_is_infeasible(self, run_cli, bfs_limit, tmp_path):
+        # the low limit ends the 254-card record at once; unpatched, its BFS
+        # would run to 10^6 elements first
+        bfs_limit(1000)
         path = tmp_path / "report.json"
         code, out, err = run_cli(
-            "verify", "--min", 254, "--max", 256, "--engine", "bfs", "--cap", 1000,
-            "--out", path,
+            "verify", "--min", 254, "--max", 256, "--engine", "bfs", "--out", path
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
@@ -596,11 +623,11 @@ class TestUsage:
     def test_reader_closes_the_pipe_early(self, tmp_path):
         # 65536 cards print about 380 kB, more than a pipe holds, so the
         # command is still writing when the reader stops after 10 bytes
-        paths = [str(Path(unshuffle.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         argv = [sys.executable, "-m", "unshuffle", "shuffle", "--deck", "65536", "--word", "L'"]
         with open(tmp_path / "stderr.txt", "wb") as stderr:
-            process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=env)
+            process = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=stderr, env=child_env()
+            )
             assert process.stdout.read(10) == b"32767,6553"
             process.stdout.close()
             code = process.wait(timeout=60)

@@ -426,16 +426,17 @@ class TestVerification:
         assert verify_deck_size(10, "unshuffle").kernel_order_computed == 32
         assert verify_deck_size(10, "perfect").kernel_order_computed is None
 
-    def test_forced_bfs_degrades_to_unmatched(self):
+    def test_forced_bfs_degrades_to_unmatched(self, bfs_limit):
         # a forced engine that cannot finish raises, as compute_order does
+        bfs_limit(1000)
         with pytest.raises(EnumerationCapExceeded):
-            verify_deck_size(18, "perfect", engine="bfs", cap=1000)
+            verify_deck_size(18, "perfect", engine="bfs")
 
     def test_forced_bfs_past_byte_limit_degrades(self):
         with pytest.raises(EnumerationCapExceeded):
             verify_deck_size(256, "perfect", engine="bfs")
 
-    def test_forced_bfs_sweep_stops_at_first_infeasible_record(self, monkeypatch):
+    def test_forced_bfs_sweep_stops_at_first_infeasible_record(self, monkeypatch, bfs_limit):
         calls = []
 
         def counted(*args, **kwargs):
@@ -443,8 +444,9 @@ class TestVerification:
             return bfs_enumerate(*args, **kwargs)
 
         monkeypatch.setattr(groups, "bfs_enumerate", counted)
+        bfs_limit(1000)
         with pytest.raises(EnumerationCapExceeded):
-            verify_deck_sizes([18, 20, 22], engine="bfs", cap=1000)
+            verify_deck_sizes([18, 20, 22], engine="bfs")
         assert len(calls) == 1
 
     def test_auto_past_byte_limit_is_affine(self):
