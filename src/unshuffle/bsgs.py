@@ -47,9 +47,10 @@ or prove the group without either:
   testing is sifting; factorial-scale orders are fine since Python
   integers do not overflow.
 
-The package's one engine policy, which picks among the four and runs the
-one it picks, is :func:`unshuffle.groups.compute_group`; order and
-membership both read the group it returns.
+The package's one engine policy, the affine engine, then the certificate,
+then the chain, is :func:`unshuffle.groups.compute_group`; order and
+membership both read the group it returns.  It never runs BFS, which
+runs only where a caller calls :func:`bfs_enumerate` itself.
 
 Internally permutations are raw image tuples, composed ("left then right")
 and inverted by the kernels of :mod:`unshuffle.perm`, which the chain's
@@ -148,7 +149,7 @@ def bfs_enumerate(generators: Iterable) -> Closure:
     if degree > BFS_MAX_DEGREE:
         raise EnumerationCapExceeded(
             f"bfs_enumerate packs images into bytes, so it takes at most "
-            f"{BFS_MAX_DEGREE} points, not {degree}; use the schreier engine"
+            f"{BFS_MAX_DEGREE} points, not {degree}; use a StabilizerChain"
         )
     # p.translate(table) maps each image x of p to g[x]: the product "p then g"
     tables = [bytes(g) + bytes(256 - degree) for g in raws]
@@ -165,7 +166,7 @@ def bfs_enumerate(generators: Iterable) -> Closure:
                     if len(seen) >= limit:
                         raise EnumerationCapExceeded(
                             f"group has more than {limit} elements; "
-                            "enumeration is infeasible, use the schreier engine"
+                            "enumeration is infeasible, use a StabilizerChain"
                         )
                     seen.add(q)
                     next_frontier.append(q)

@@ -1,8 +1,7 @@
 """Command line front end.  See docs/unshuffle.1.md for the full page.
 
-Exit status: 0 success, 1 verification mismatch, 2 usage error,
-3 enumeration infeasible under the requested engine, 141 standard
-output closed before the output was written.
+Exit status: 0 success, 1 verification mismatch, 2 usage error, 141
+standard output closed before the output was written.
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ import os
 import sys
 from collections import deque
 
-# StabilizerChain and bfs_enumerate are not called here, but
-# perfbench/tracing.py rebinds them in this module, so the names must stay
-# bound
-from .bsgs import EnumerationCapExceeded, StabilizerChain, bfs_enumerate  # noqa: F401
+# StabilizerChain and bfs_enumerate are not called here; they are bound only
+# because perfbench/tracing.py rebinds them in this module
+from .bsgs import StabilizerChain, bfs_enumerate  # noqa: F401
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
@@ -42,7 +40,7 @@ from .shuffles import (
 )
 
 # 141 is the shell's status for a command killed by SIGPIPE (128 + 13)
-OK, MISMATCH, USAGE, INFEASIBLE, BROKEN_PIPE = 0, 1, 2, 3, 141
+OK, MISMATCH, USAGE, BROKEN_PIPE = 0, 1, 2, 141
 
 
 def _steps(word, deck_size) -> list[dict]:
@@ -136,7 +134,7 @@ def _cmd_elmsley(args):
 
 def _cmd_group_order(args):
     gens = _parse_generators(args.gens, args.deck)
-    engine_used, group = compute_group(gens, args.engine)
+    engine_used, group = compute_group(gens)
     order = decimal_text(group.order)
     payload = {"deck": args.deck, "gens": args.gens, "engine_used": engine_used, "order": order}
     return OK, payload, [order]
@@ -189,7 +187,7 @@ def _cmd_verify(args):
         raise ValueError(f"no even deck sizes in [{args.min}, {args.max}]")
     check_deck_size(sizes[0])
     check_deck_size(sizes[-1])
-    records = verify_deck_sizes(sizes, engine=args.engine)
+    records = verify_deck_sizes(sizes)
     payload = [r.to_fields() for r in records]
     if args.out:
         try:
@@ -203,10 +201,6 @@ def _cmd_verify(args):
 
 def _add_deck(parser):
     parser.add_argument("--deck", type=int, required=True, help="deck size (even)")
-
-
-def _add_engine(parser):
-    parser.add_argument("--engine", choices=("auto", "bfs", "schreier"), default="auto")
 
 
 def _add_format(parser, choices=("text", "json"), default="text"):
@@ -256,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-order", help="exact order of a generated group")
     _add_deck(p)
     p.add_argument("--gens", default="LR", help="LR, IO, or comma-separated shuffle words")
-    _add_engine(p)
     _add_format(p)
     p.set_defaults(handler=_cmd_group_order)
 
@@ -276,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check computed group orders against predictions")
     p.add_argument("--min", type=int, default=2)
     p.add_argument("--max", type=int, default=52)
-    _add_engine(p)
     p.add_argument("--out", help="write a JSON report to this path")
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
@@ -292,9 +284,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         status, payload, lines = args.handler(args)
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -6,8 +6,10 @@ group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
 reports whether theory and computation agree.  The recomputation, like
 :func:`group_order` and :func:`group_contains`, reads the group that
-:func:`compute_group`, the package's one engine policy, returns; the
-prediction never picks the engine.
+:func:`compute_group`, the package's one engine policy, returns.  It
+takes no engine argument: a caller that wants one engine builds a
+:class:`unshuffle.bsgs.StabilizerChain` or calls
+:func:`unshuffle.bsgs.bfs_enumerate` itself.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -27,14 +29,15 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-# compute_group looks StabilizerChain and bfs_enumerate up in this module,
-# where perfbench/tracing.py rebinds them
+# compute_group looks StabilizerChain up in this module, where
+# perfbench/tracing.py rebinds it; bfs_enumerate is not called here, and is
+# bound only because tracing.py rebinds it here too
 from .bsgs import (
     StabilizerChain,
     _SignGroup,
     _affine_group,
     _certified_group,
-    bfs_enumerate,
+    bfs_enumerate,  # noqa: F401
 )
 from .perm import Permutation, _signs
 from .shuffles import (
@@ -58,35 +61,24 @@ def family_generators(family: str, deck_size: int) -> tuple[Permutation, Permuta
     return shuffle_permutation(a, deck_size), shuffle_permutation(b, deck_size)
 
 
-def compute_group(generators: Sequence, engine: str = "auto"):
+def compute_group(generators: Sequence):
     """The package's one engine policy: the engine that answered and the
     generated group, which has its exact ``order`` and ``p in group``.
 
-    Every ``engine="auto"`` in the package (:func:`group_order`,
+    It tries :func:`unshuffle.bsgs._affine_group` on 2^k points, then
+    :func:`unshuffle.bsgs._certified_group`, and builds the stabilizer
+    chain (``"schreier"``) where both give None.  All three are exact, and
+    the first two answer at any scale.  :func:`group_order`,
     :func:`group_contains`, :func:`verify_deck_size`,
-    :func:`pair_kernel_order`, the command line) means
-    :func:`unshuffle.bsgs._affine_group` on 2^k points, then
-    :func:`unshuffle.bsgs._certified_group`, and the stabilizer chain
-    where both give None; all three are exact, and the first two answer
-    at any scale.  ``schreier`` forces the chain, and ``bfs`` runs the
-    enumeration, the independent check, which raises
-    :class:`EnumerationCapExceeded` past its fixed element limit or 255
-    points.
-    Any other engine is a ValueError.
+    :func:`pair_kernel_order` and the command line all read this group.
     """
-    if engine == "auto":
-        group = _affine_group(generators)
-        if group is not None:
-            return "affine", group
-        group = _certified_group(generators)
-        if group is not None:
-            return "certificate", group
-        engine = "schreier"
-    if engine == "schreier":
-        return engine, StabilizerChain(generators)
-    if engine == "bfs":
-        return engine, bfs_enumerate(generators)
-    raise ValueError(f"unknown engine {engine!r}")
+    group = _affine_group(generators)
+    if group is not None:
+        return "affine", group
+    group = _certified_group(generators)
+    if group is not None:
+        return "certificate", group
+    return "schreier", StabilizerChain(generators)
 
 
 def group_contains(generators: Sequence, p) -> bool:
@@ -94,10 +86,9 @@ def group_contains(generators: Sequence, p) -> bool:
     return p in compute_group(generators)[1]
 
 
-def group_order(generators: Sequence, engine: str = "auto") -> int:
-    """Order of the generated group by the requested engine; see
-    :func:`compute_group`."""
-    return compute_group(generators, engine)[1].order
+def group_order(generators: Sequence) -> int:
+    """Order of the generated group; see :func:`compute_group`."""
+    return compute_group(generators)[1].order
 
 
 def power_of_two_exponent(m: int) -> int | None:
@@ -194,9 +185,9 @@ def pair_kernel_order(generators, group=None) -> int:
     certificate's :class:`unshuffle.bsgs._SignGroup` on mirror pairs, G
     is that bound group, and |K| is its ``kernel``.  For any other group,
     |K| = |G| / |pi(G)| by the first isomorphism theorem, with |pi(G)|
-    computed from the generators' pair images by :func:`compute_group`'s
-    ``auto``: the affine engine on 2^k pairs, the certificate, or a
-    stabilizer chain (the image at n < 8, for example).
+    computed from the generators' pair images by :func:`compute_group`:
+    the affine engine on 2^k pairs, the certificate, or a stabilizer chain
+    (the image at n < 8, for example).
     """
     gens = list(generators)
     if group is None:
@@ -364,23 +355,20 @@ class VerificationRecord:
         return fields
 
 
-def verify_deck_size(deck_size: int, family: str, engine: str = "auto") -> VerificationRecord:
+def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
     """Recompute one group order and compare against the prediction.
 
     ``match`` says that three things agree: the computed order with the
     predicted one, the computed signs with :func:`parity_row`, and, where
     the kernel is computed (the unshuffle family wherever
     :func:`predict_group` gives a ``kernel_order``), its order with the
-    predicted one.  The engine is :func:`compute_group`'s; ``engine_used``
-    names the one that answered.  The prediction only supplies the
-    expected value, never the engine.  A forced ``bfs`` run past the
-    element limit or the byte limit (more than 255 cards) raises
-    :class:`unshuffle.bsgs.EnumerationCapExceeded`, as :func:`compute_group`
-    does, so a sweep stops at its first such record.
+    predicted one.  The group is :func:`compute_group`'s, and
+    ``engine_used`` names the engine that answered; the prediction only
+    supplies the expected value.
     """
     prediction = predict_group(family, deck_size)
     gens = family_generators(family, deck_size)
-    engine_used, group = compute_group(gens, engine)
+    engine_used, group = compute_group(gens)
 
     kernel_computed = kernel_predicted = None
     if family == "unshuffle" and prediction.kernel_order is not None:
@@ -406,14 +394,14 @@ def verify_deck_size(deck_size: int, family: str, engine: str = "auto") -> Verif
     )
 
 
-def verify_deck_sizes(deck_sizes, engine: str = "auto") -> list[VerificationRecord]:
+def verify_deck_sizes(deck_sizes) -> list[VerificationRecord]:
     """Verification records for both families at each deck size, sorted by
     deck size then family name, so equal inputs give identical output."""
     sizes = sorted({check_deck_size(s) for s in deck_sizes})
     records = []
     for deck_size in sizes:
         for family in sorted(FAMILIES):
-            records.append(verify_deck_size(deck_size, family, engine=engine))
+            records.append(verify_deck_size(deck_size, family))
     return records
 
 

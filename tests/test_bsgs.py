@@ -138,6 +138,11 @@ class TestBfs:
         bfs_limit(100)
         with pytest.raises(EnumerationCapExceeded):
             bfs_enumerate(symmetric_gens(6))
+        # <L, R> at 18 cards, 9! * 2^9 elements, is past the unpatched limit
+        # too (test_cli's test_forced_bfs_stops_in_bounded_memory)
+        message = "more than 100 elements; enumeration is infeasible, use a StabilizerChain"
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            bfs_enumerate(family_generators("unshuffle", 18))
 
     def test_cap_boundary(self, bfs_limit):
         # exactly at the limit is allowed
@@ -172,6 +177,10 @@ class TestBfs:
         big = Permutation(list(range(1, 256)) + [0])
         with pytest.raises(EnumerationCapExceeded):
             bfs_enumerate([big])
+        # the first deck size past the byte packing
+        message = "at most 255 points, not 256; use a StabilizerChain"
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            bfs_enumerate(family_generators("perfect", 256))
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
@@ -845,10 +854,9 @@ def _sampled_images(degree):
 
 class TestDispatch:
     def test_group_order_engines(self):
+        # the policy's order against both engines, called directly
         gens = symmetric_gens(5)
-        assert group_order(gens) == 120
-        assert group_order(gens, engine="bfs") == 120
-        assert group_order(gens, engine="schreier") == 120
+        assert group_order(gens) == bfs_enumerate(gens).order == StabilizerChain(gens).order == 120
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_group_order_at_ten_thousand_cards(self, family):
@@ -856,14 +864,3 @@ class TestDispatch:
         # a sample
         gens = family_generators(family, 10002)
         assert group_order(gens) == predict_group(family, 10002).order
-
-    def test_group_order_bad_engine(self):
-        with pytest.raises(ValueError):
-            group_order(S3_GENS, engine="magic")
-
-    def test_group_order_respects_cap(self, bfs_limit):
-        bfs_limit(1000)
-        with pytest.raises(EnumerationCapExceeded):
-            group_order(symmetric_gens(7), engine="bfs")
-        # the chain engine has no limit to hit
-        assert group_order(symmetric_gens(7)) == math.factorial(7)

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import unshuffle
 from unshuffle import groups, perm
+from unshuffle.bsgs import StabilizerChain, bfs_enumerate
 from unshuffle.cli import main
-from unshuffle.shuffles import Step, shuffle_permutation
+from unshuffle.shuffles import Step, shuffle_permutation, word_permutation
 
 
 def child_env():
@@ -259,9 +260,10 @@ class TestGroupOrder:
         assert run_cli("group-order", "--deck", 6, "--gens", "IO")[1] == "24\n"
 
     def test_engines_agree(self, run_cli):
-        for engine in ("auto", "bfs", "schreier"):
-            _, out, _ = run_cli("group-order", "--deck", 12, "--engine", engine)
-            assert out == "7680\n"
+        # the printed order against both engines, called directly
+        assert run_cli("group-order", "--deck", 12)[1] == "7680\n"
+        gens = groups.family_generators("unshuffle", 12)
+        assert bfs_enumerate(gens).order == StabilizerChain(gens).order == 7680
 
     def test_custom_generators(self, run_cli):
         assert run_cli("group-order", "--deck", 6, "--gens", "V")[1] == "2\n"
@@ -269,8 +271,10 @@ class TestGroupOrder:
         assert run_cli("group-order", "--deck", 6, "--gens", "LI")[1] == "2\n"
 
     def test_big_deck_via_chain(self, run_cli):
-        _, out, _ = run_cli("group-order", "--deck", 52, "--engine", "schreier")
-        assert out.strip() == str(math.factorial(26) * 2**26)
+        # the certified order that group-order prints, against a chain
+        order = math.factorial(26) * 2**26
+        assert StabilizerChain(groups.family_generators("unshuffle", 52)).order == order
+        assert run_cli("group-order", "--deck", 52)[1] == f"{order}\n"
 
     def test_json_reports_engine(self, run_cli):
         _, out, _ = run_cli("group-order", "--deck", 6, "--format", "json")
@@ -279,23 +283,18 @@ class TestGroupOrder:
 
     def test_json_reports_certificate(self, run_cli):
         order = str(math.factorial(26) * 2**26)
-        for engine, used in (("auto", "certificate"), ("schreier", "schreier")):
-            _, out, _ = run_cli(
-                "group-order", "--deck", 52, "--engine", engine, "--format", "json"
-            )
-            payload = {"deck": 52, "gens": "LR", "engine_used": used, "order": order}
-            assert json.loads(out) == payload
+        _, out, _ = run_cli("group-order", "--deck", 52, "--format", "json")
+        payload = {"deck": 52, "gens": "LR", "engine_used": "certificate", "order": order}
+        assert json.loads(out) == payload
 
     @pytest.mark.parametrize("gens, order", [("L,I", "8"), ("LL'", "1")])
     def test_affine_at_a_power_of_two(self, run_cli, gens, order):
         # mixed families and the identity alone are affine too
-        def payload(*engine):
-            args = ("group-order", "--deck", 16, "--gens", gens, *engine, "--format", "json")
-            return json.loads(run_cli(*args)[1])
-
-        affine, chain = payload(), payload("--engine", "schreier")
+        args = ("group-order", "--deck", 16, "--gens", gens, "--format", "json")
+        affine = json.loads(run_cli(*args)[1])
+        chain = StabilizerChain([word_permutation(w, 16) for w in gens.split(",")])
         assert affine["engine_used"] == "affine"
-        assert affine["order"] == chain["order"] == order
+        assert affine["order"] == str(chain.order) == order
 
     def test_order_past_the_int_string_limit(self, run_cli):
         # 2n = 2848 is the first deck size whose order has over 4300 digits
@@ -303,18 +302,11 @@ class TestGroupOrder:
         assert code == 0
         assert out.strip() == groups.decimal_text(groups.predict_group("perfect", 2848).order)
 
-    @pytest.mark.parametrize("command", ["group-order", "verify"])
-    def test_bfs_cap_exhaustion_is_infeasible(self, run_cli, bfs_limit, command):
-        bfs_limit(1000)
-        code, out, err = run_cli(*one_deck(command, 20), "--engine", "bfs")
-        assert (code, out) == (3, "")
-        assert "error:" in err
-
     def test_forced_bfs_stops_in_bounded_memory(self):
         # the unpatched element limit ends <L, R> at 18 cards, 9! * 2^9
         # elements, long before the enumeration fills memory.  A child's
         # ru_maxrss counts the process it was forked from, so a small
-        # launcher runs the command and prints its exit code and peak
+        # launcher runs the enumeration and prints its exit code and peak
         launcher = (
             "import os, subprocess, sys\n"
             "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
@@ -324,14 +316,16 @@ class TestGroupOrder:
         )
         argv = [
             sys.executable, "-c", launcher,
-            sys.executable, "-m", "unshuffle", "group-order", "--deck", "18", "--engine", "bfs",
+            sys.executable, "-c",
+            "from unshuffle import bfs_enumerate, family_generators\n"
+            "bfs_enumerate(family_generators('unshuffle', 18))\n",
         ]
         done = subprocess.run(
             argv, capture_output=True, text=True, env=child_env(), timeout=120, check=True
         )
         code, peak = map(int, done.stdout.split())
-        assert code == 3
-        assert done.stderr.startswith("error: ")
+        assert code == 1
+        assert "EnumerationCapExceeded: group has more than 1000000 elements" in done.stderr
         # ru_maxrss is in kilobytes on Linux
         assert peak < 250 * 1024
 
@@ -347,25 +341,21 @@ class TestGroupOrder:
         assert run_cli("group-order", "--deck", 6, "--gens", "L,,R")[0] == 2
 
     def test_unknown_engine_is_usage_error(self, run_cli):
-        assert run_cli("group-order", "--deck", 6, "--engine", "magic")[0] == 2
+        # there is no engine option: the policy alone picks the engine
+        for command in ("group-order", "verify"):
+            code, out, err = run_cli(*one_deck(command, 24), "--engine", "schreier")
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --engine schreier" in err
 
-    @pytest.mark.parametrize("command", ["group-order", "verify"])
-    def test_bfs_past_byte_limit_is_infeasible(self, run_cli, command):
-        code, out, err = run_cli(*one_deck(command, 300), "--engine", "bfs")
-        assert (code, out) == (3, "")
-        assert "error:" in err
-
-    @pytest.mark.parametrize("engine", ["auto", "schreier"])
     @pytest.mark.parametrize("gens, family", [("LR", "unshuffle"), ("IO", "perfect")])
-    def test_agrees_with_verify_record(self, run_cli, engine, gens, family):
+    def test_agrees_with_verify_record(self, run_cli, gens, family):
         # group-order and verify report the same engine and order
         for size in range(2, 41, 2):
             _, out, _ = run_cli(
-                "group-order", "--deck", size, "--gens", gens, "--engine", engine,
-                "--format", "json",
+                "group-order", "--deck", size, "--gens", gens, "--format", "json"
             )
             payload = json.loads(out)
-            record = groups.verify_deck_size(size, family, engine=engine)
+            record = groups.verify_deck_size(size, family)
             assert (payload["engine_used"], int(payload["order"])) == (
                 record.engine_used, record.computed_order
             ), size
@@ -489,30 +479,6 @@ class TestVerify:
         parsed = json.loads(out)
         assert [entry["family"] for entry in parsed] == ["perfect", "unshuffle"]
         assert parsed[1]["kernel_order_computed"] == "8"
-
-    def test_infeasible_exit_code(self, run_cli, bfs_limit, tmp_path):
-        # the run ends at the first infeasible record: no record lines and
-        # no partial report
-        bfs_limit(1000)
-        path = tmp_path / "report.json"
-        code, out, err = run_cli(
-            "verify", "--min", 18, "--max", 18, "--engine", "bfs", "--out", path
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ")
-        assert not path.exists()
-
-    def test_forced_bfs_past_byte_limit_is_infeasible(self, run_cli, bfs_limit, tmp_path):
-        # the low limit ends the 254-card record at once; unpatched, its BFS
-        # would run to 10^6 elements first
-        bfs_limit(1000)
-        path = tmp_path / "report.json"
-        code, out, err = run_cli(
-            "verify", "--min", 254, "--max", 256, "--engine", "bfs", "--out", path
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: ")
-        assert not path.exists()
 
     def test_unwritable_report_is_usage_error(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "report.json"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unshuffle import groups, perm
-from unshuffle.bsgs import EnumerationCapExceeded, bfs_enumerate
+from unshuffle.bsgs import StabilizerChain, bfs_enumerate
 from unshuffle.groups import (
     FAMILIES,
     VerificationRecord,
@@ -387,12 +386,12 @@ class TestSubstitution:
 
 
 class TestVerification:
-    @pytest.mark.parametrize("engine, used", [("auto", "schreier"), ("bfs", "bfs")])
-    def test_small_deck_engine(self, engine, used):
-        # auto builds the certified chain even where BFS would fit; BFS
-        # runs when named and gives the same record
-        record = verify_deck_size(6, "unshuffle", engine=engine)
-        assert record.engine_used == used
+    def test_small_deck_engine(self):
+        # the policy builds the certified chain even where BFS would fit;
+        # BFS, called directly, gives the same order
+        record = verify_deck_size(6, "unshuffle")
+        assert record.engine_used == "schreier"
+        assert record.computed_order == bfs_enumerate(family_generators("unshuffle", 6)).order
         assert record.computed_order == 48
         assert record.predicted_order == 48
         assert record.match is True
@@ -401,53 +400,37 @@ class TestVerification:
         assert record.kernel_order_predicted == 8
 
     def test_large_deck_uses_chain(self):
-        # the chain still runs when named, where auto has a certificate
-        record = verify_deck_size(18, "perfect", engine="schreier")
-        assert record.engine_used == "schreier"
-        assert record.computed_order == record.predicted_order == math.factorial(9) * 2**8
+        # a chain built directly agrees where the policy has a certificate
+        record = verify_deck_size(18, "perfect")
+        assert record.engine_used == "certificate"
+        chain = StabilizerChain(family_generators("perfect", 18))
+        assert chain.order == record.computed_order == record.predicted_order
+        assert chain.order == math.factorial(9) * 2**8
         assert record.kernel_order_computed is None
 
     def test_auto_certifies_off_the_special_sizes(self):
-        # auto and schreier records differ only in engine_used, which is
-        # "affine" at 16 and 32, "schreier" at 14 and 24 and "certificate"
-        # everywhere else
+        # engine_used is "affine" at 16 and 32, "schreier" at 14 and 24 and
+        # "certificate" everywhere else, and each record's order and kernel
+        # agree with a chain built directly
         for size in range(14, 37, 2):
             for family in FAMILIES:
-                auto = verify_deck_size(size, family)
-                forced = verify_deck_size(size, family, engine="schreier")
+                record = verify_deck_size(size, family)
                 expected = {16: "affine", 32: "affine", 14: "schreier", 24: "schreier"}.get(
                     size, "certificate"
                 )
-                assert auto.engine_used == expected, (size, family)
-                assert auto == dataclasses.replace(forced, engine_used=expected)
+                assert record.engine_used == expected, (size, family)
+                assert record.match, (size, family)
+                gens = family_generators(family, size)
+                chain = StabilizerChain(gens)
+                assert record.computed_order == chain.order, (size, family)
+                if record.kernel_order_computed is not None:
+                    kernel = pair_kernel_order(gens, chain)
+                    assert record.kernel_order_computed == kernel, (size, family)
 
     def test_kernel_reported_only_when_rule_applies(self):
         assert verify_deck_size(12, "unshuffle").kernel_order_computed is None
         assert verify_deck_size(10, "unshuffle").kernel_order_computed == 32
         assert verify_deck_size(10, "perfect").kernel_order_computed is None
-
-    def test_forced_bfs_degrades_to_unmatched(self, bfs_limit):
-        # a forced engine that cannot finish raises, as compute_order does
-        bfs_limit(1000)
-        with pytest.raises(EnumerationCapExceeded):
-            verify_deck_size(18, "perfect", engine="bfs")
-
-    def test_forced_bfs_past_byte_limit_degrades(self):
-        with pytest.raises(EnumerationCapExceeded):
-            verify_deck_size(256, "perfect", engine="bfs")
-
-    def test_forced_bfs_sweep_stops_at_first_infeasible_record(self, monkeypatch, bfs_limit):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return bfs_enumerate(*args, **kwargs)
-
-        monkeypatch.setattr(groups, "bfs_enumerate", counted)
-        bfs_limit(1000)
-        with pytest.raises(EnumerationCapExceeded):
-            verify_deck_sizes([18, 20, 22], engine="bfs")
-        assert len(calls) == 1
 
     def test_auto_past_byte_limit_is_affine(self):
         # 256 = 2^8 cards, past BFS's byte packing: auto answers with the
@@ -455,10 +438,6 @@ class TestVerification:
         record = verify_deck_size(256, "perfect")
         assert record.engine_used == "affine"
         assert record.computed_order == record.predicted_order == 2048
-
-    def test_bad_engine(self):
-        with pytest.raises(ValueError):
-            verify_deck_size(6, "unshuffle", engine="magic")
 
     def test_sweep_orders_and_dedupes(self):
         records = verify_deck_sizes([6, 6, 4])
@@ -476,7 +455,7 @@ class TestReports:
         record = VerificationRecord(
             two_n=6,
             family="unshuffle",
-            engine_used="bfs",
+            engine_used="schreier",
             computed_order=48,
             predicted_order=48,
             predicted_order_factored="3!*2^3",
@@ -488,7 +467,7 @@ class TestReports:
         assert record.to_fields() == {
             "two_n": 6,
             "family": "unshuffle",
-            "engine_used": "bfs",
+            "engine_used": "schreier",
             "computed_order": "48",
             "predicted_order": "48",
             "predicted_order_factored": "3!*2^3",
