@@ -347,18 +347,23 @@ class TestGroupOrder:
             assert (code, out) == (2, "")
             assert "unrecognized arguments: --engine schreier" in err
 
+    @pytest.mark.parametrize("engine", ["auto", "schreier"])
     @pytest.mark.parametrize("gens, family", [("LR", "unshuffle"), ("IO", "perfect")])
-    def test_agrees_with_verify_record(self, run_cli, gens, family):
-        # group-order and verify report the same engine and order
+    def test_agrees_with_verify_record(self, run_cli, engine, gens, family):
+        # group-order reports verify's engine and order ("auto"), and the
+        # order of a chain built directly ("schreier")
         for size in range(2, 41, 2):
             _, out, _ = run_cli(
                 "group-order", "--deck", size, "--gens", gens, "--format", "json"
             )
             payload = json.loads(out)
-            record = groups.verify_deck_size(size, family)
-            assert (payload["engine_used"], int(payload["order"])) == (
-                record.engine_used, record.computed_order
-            ), size
+            got = (payload["engine_used"], int(payload["order"]))
+            if engine == "auto":
+                record = groups.verify_deck_size(size, family)
+                assert got == (record.engine_used, record.computed_order), size
+            else:
+                chain = StabilizerChain(groups.family_generators(family, size))
+                assert got[1] == chain.order, size
 
 
 class TestGroupPredict:

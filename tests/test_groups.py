@@ -386,13 +386,21 @@ class TestSubstitution:
 
 
 class TestVerification:
-    def test_small_deck_engine(self):
+    @pytest.mark.parametrize("engine, used", [("auto", "schreier"), ("bfs", "bfs")])
+    def test_small_deck_engine(self, engine, used):
         # the policy builds the certified chain even where BFS would fit;
-        # BFS, called directly, gives the same order
+        # BFS, called directly, gives the same order and kernel
+        gens = family_generators("unshuffle", 6)
+        if engine == "bfs":
+            engine_used, group = "bfs", bfs_enumerate(gens)
+        else:
+            engine_used, group = compute_group(gens)
+        assert engine_used == used
+        assert group.order == 48
+        assert pair_kernel_order(gens, group) == 8
         record = verify_deck_size(6, "unshuffle")
         assert record.engine_used == "schreier"
-        assert record.computed_order == bfs_enumerate(family_generators("unshuffle", 6)).order
-        assert record.computed_order == 48
+        assert record.computed_order == group.order
         assert record.predicted_order == 48
         assert record.match is True
         assert record.parities == (-1, 1, 1, -1)
