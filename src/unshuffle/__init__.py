@@ -27,11 +27,9 @@ from .groups import (
     pair_kernel_order,
     parity_row,
     predict_group,
-    records_to_json,
     substitute_unshuffles,
     verify_deck_size,
     verify_deck_sizes,
-    write_report,
 )
 from .perm import Permutation, random_centrally_symmetric
 from .shuffles import (
@@ -83,7 +81,6 @@ __all__ = [
     "perfect_elmsley_word",
     "predict_group",
     "random_centrally_symmetric",
-    "records_to_json",
     "shuffle_order",
     "shuffle_permutation",
     "substitute_unshuffles",
@@ -93,5 +90,4 @@ __all__ = [
     "walk_deck",
     "word_permutation",
     "word_power",
-    "write_report",
 ]

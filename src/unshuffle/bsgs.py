@@ -535,16 +535,13 @@ class StabilizerChain:
     # --- construction ---
 
     def _start(self, raws: list[tuple[int, ...]]) -> None:
-        # an empty chain, then the generators on the levels they need
+        # an empty chain, then each generator on the levels up to and
+        # including the first whose base point it moves; one that fixes
+        # every base point opens a new level
         self._levels: list[_Level] = []
         for g in raws:
-            if all(g[level.point] == level.point for level in self._levels):
-                self._levels.append(_Level(g, self._identity))
-        for g in raws:
-            # every generator moves some base point; it belongs to the
-            # levels up to and including the first one it moves
-            last = next(i for i, level in enumerate(self._levels) if g[level.point] != level.point)
-            self._add_generator(g, 0, last)
+            moved = (i for i, level in enumerate(self._levels) if g[level.point] != level.point)
+            self._add_generator(g, 0, next(moved, len(self._levels)))
 
     def _pair_bound(self, raws: list[tuple[int, ...]], bound: _SignGroup) -> bool:
         # whether the orbit sizes multiply to |pi(G)| times the bound's

@@ -18,7 +18,6 @@ from .bsgs import StabilizerChain, bfs_enumerate  # noqa: F401
 from .elmsley import perfect_elmsley_word, unshuffle_swap_word
 from .groups import (
     FAMILIES,
-    _write_report,
     compute_group,
     decimal_text,
     family_generators,
@@ -81,6 +80,12 @@ def _parse_permutation(text: str, deck_size: int) -> Permutation:
     if p.degree != deck_size:
         raise ValueError(f"permutation degree {p.degree} does not match deck size {deck_size}")
     return p
+
+
+def _json_text(payload) -> str:
+    # the one JSON layout, printed with its newline: every --format json
+    # output and the verify --out report
+    return json.dumps(payload, indent=2)
 
 
 # Each handler returns (exit status, JSON payload, text lines); main renders one of them.
@@ -191,7 +196,8 @@ def _cmd_verify(args):
     payload = [r.to_fields() for r in records]
     if args.out:
         try:
-            _write_report(payload, args.out)
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                print(_json_text(payload), file=handle)
         except OSError as exc:
             raise ValueError(f"cannot write report: {exc}") from exc
     matches = sum(r.match for r in records)
@@ -288,7 +294,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     try:
-        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        # print's newline is a second write: a pipe closed during the first
+        # write cuts it short without an error, and the flush then raises
+        print(_json_text(payload) if args.format == "json" else "\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed the pipe, as head does; Python flushes stdout

@@ -22,7 +22,6 @@ the kernel of the pair action off the same row.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,6 @@ from typing import NamedTuple
 # bound only because tracing.py rebinds it here too
 from .bsgs import (
     StabilizerChain,
-    _SignGroup,
     _affine_group,
     _certified_group,
     bfs_enumerate,  # noqa: F401
@@ -181,18 +179,18 @@ def pair_kernel_order(generators, group=None) -> int:
     """Order of the kernel K of the pair action pi on the generated group G.
 
     ``group`` is the group that :func:`compute_group` returned for the
-    generators, and is computed when it is not given.  Where it is the
-    certificate's :class:`unshuffle.bsgs._SignGroup` on mirror pairs, G
-    is that bound group, and |K| is its ``kernel``.  For any other group,
-    |K| = |G| / |pi(G)| by the first isomorphism theorem, with |pi(G)|
-    computed from the generators' pair images by :func:`compute_group`:
-    the affine engine on 2^k pairs, the certificate, or a stabilizer chain
-    (the image at n < 8, for example).
+    generators, and is computed when it is not given.  Where it has a
+    ``kernel``, it is the certificate's :class:`unshuffle.bsgs._SignGroup`
+    on mirror pairs, G is that bound group, and |K| is that ``kernel``.
+    For any other group, |K| = |G| / |pi(G)| by the first isomorphism
+    theorem, with |pi(G)| computed from the generators' pair images by
+    :func:`compute_group`: the affine engine on 2^k pairs, the
+    certificate, or a stabilizer chain (the image at n < 8, for example).
     """
     gens = list(generators)
     if group is None:
         group = compute_group(gens)[1]
-    if isinstance(group, _SignGroup) and group.paired:
+    if getattr(group, "kernel", None) is not None:
         return group.kernel
     images = [g.pair_permutation() for g in gens]
     image_order = compute_group(images)[1].order
@@ -403,25 +401,3 @@ def verify_deck_sizes(deck_sizes) -> list[VerificationRecord]:
         for family in sorted(FAMILIES):
             records.append(verify_deck_size(deck_size, family))
     return records
-
-
-def records_to_json(records) -> str:
-    return _report_json([r.to_fields() for r in records])
-
-
-def write_report(records, path) -> None:
-    _write_report([r.to_fields() for r in records], path)
-
-
-def _report_json(fields: list[dict]) -> str:
-    # the report's one JSON layout, over VerificationRecord.to_fields dicts
-    if not fields:
-        raise ValueError("no verification records to serialize")
-    return json.dumps(fields, indent=2) + "\n"
-
-
-def _write_report(fields: list[dict], path) -> None:
-    # the verify command passes the fields it prints: each record renders once
-    text = _report_json(fields)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)

@@ -11,10 +11,10 @@ EXPORTED = {
     "deal_permutation", "diaconis_words", "family_generators", "format_word",
     "group_contains", "group_order", "invert_word", "multiplicative_order",
     "pair_kernel_order", "parity_row", "parse_word", "perfect_elmsley_word",
-    "predict_group", "random_centrally_symmetric", "records_to_json", "shuffle_order",
+    "predict_group", "random_centrally_symmetric", "shuffle_order",
     "shuffle_permutation", "substitute_unshuffles", "unshuffle_swap_word",
     "verify_deck_size", "verify_deck_sizes", "walk_deck", "word_permutation",
-    "word_power", "write_report",
+    "word_power",
 }
 
 
@@ -56,6 +56,6 @@ def test_package_namespace_is_the_exports():
     assert public_functions(groups) == {
         "compute_group", "decimal_text", "diaconis_words", "family_generators",
         "group_contains", "group_order", "pair_kernel_order", "parity_row",
-        "power_of_two_exponent", "predict_group", "records_to_json",
-        "substitute_unshuffles", "verify_deck_size", "verify_deck_sizes", "write_report",
+        "power_of_two_exponent", "predict_group", "substitute_unshuffles",
+        "verify_deck_size", "verify_deck_sizes",
     }

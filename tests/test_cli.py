@@ -472,11 +472,18 @@ class TestVerify:
         assert all("match=yes" in line for line in lines[:-1])
 
     def test_report_file(self, run_cli, tmp_path):
-        path = tmp_path / "report.json"
-        code, _, _ = run_cli("verify", "--min", 2, "--max", 10, "--out", path)
+        # the --out report is byte for byte what --format json prints, ends in
+        # one newline, and is the same on every run
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        code, out, _ = run_cli("verify", "--min", 2, "--max", 10, "--out", first, "--format", "json")
         assert code == 0
-        parsed = json.loads(path.read_text())
-        assert len(parsed) == 10
+        assert run_cli("verify", "--min", 2, "--max", 10, "--out", second)[0] == 0
+        report = first.read_bytes()
+        assert report == out.encode("utf-8")
+        assert report.endswith(b"]\n")
+        assert second.read_bytes() == report
+        parsed = json.loads(report)
+        assert [entry["two_n"] for entry in parsed] == [2, 2, 4, 4, 6, 6, 8, 8, 10, 10]
         assert all(entry["match"] for entry in parsed)
 
     def test_json_format(self, run_cli):

@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 
@@ -20,11 +19,9 @@ from unshuffle.groups import (
     parity_row,
     power_of_two_exponent,
     predict_group,
-    records_to_json,
     substitute_unshuffles,
     verify_deck_size,
     verify_deck_sizes,
-    write_report,
 )
 from unshuffle.shuffles import MAX_DECK, Step, format_word, word_permutation
 
@@ -511,23 +508,3 @@ class TestReports:
             assert texts == [str(v) for v in values]
         finally:
             sys.set_int_max_str_digits(limit)
-
-    def test_records_to_json(self):
-        records = verify_deck_sizes([4, 6])
-        text = records_to_json(records)
-        assert text.endswith("\n")
-        parsed = json.loads(text)
-        assert [entry["two_n"] for entry in parsed] == [4, 4, 6, 6]
-
-    def test_records_to_json_rejects_empty(self):
-        with pytest.raises(ValueError):
-            records_to_json([])
-
-    def test_write_report_is_stable(self, tmp_path):
-        records = verify_deck_sizes([4, 6])
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        write_report(records, first)
-        write_report(records, second)
-        assert first.read_bytes() == second.read_bytes()
-        assert json.loads(first.read_text())
