@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -508,3 +509,22 @@ class TestReports:
             assert texts == [str(v) for v in values]
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_records_to_json(self, run_cli, tmp_path):
+        # the verify report holds each record's to_fields, in sweep order,
+        # and ends in one newline
+        path = tmp_path / "report.json"
+        assert run_cli("verify", "--min", 4, "--max", 6, "--out", path)[0] == 0
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("]\n")
+        parsed = json.loads(text)
+        assert [entry["two_n"] for entry in parsed] == [4, 4, 6, 6]
+        assert parsed == [r.to_fields() for r in verify_deck_sizes([4, 6])]
+
+    def test_write_report_is_stable(self, run_cli, tmp_path):
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
+        assert run_cli("verify", "--min", 4, "--max", 6, "--out", first)[0] == 0
+        assert run_cli("verify", "--min", 4, "--max", 6, "--out", second)[0] == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text(encoding="utf-8"))
