@@ -74,17 +74,16 @@ BFS_MAX_DEGREE = 255
 # largest shuffle group BFS checks, <L, R> at 14 cards, has 645,120
 BFS_MAX_ELEMENTS = 1_000_000
 
-# Random elements: a fixed seed, so every build of the same generator list
-# gives the same chain and the same certificate; product replacement with
-# 11 slots (Celler et al. 1995).  The chain's random phase drops the first
-# 50 samples as warm-up and takes the bound to be out of reach after 30
-# trivial sifts in a row.  The certificate needs no warm-up, since any
-# group element may be its witness, and gives up after 150 samples: the
-# same stream, so it sees every sample that 100 taken after the warm-up
-# would, and answers wherever they would.
+# Random elements: one product-replacement stream with 11 slots (Celler et
+# al. 1995) from a fixed seed, so every build of the same generator list
+# gives the same chain and the same certificate.  The chain and the
+# certificate both read it from its first sample, since their proofs hold
+# for any group element: as the certificate's witness, or as a residue that
+# joins the chain.  The chain's random phase takes the bound to be out of
+# reach after 30 trivial sifts in a row, and the certificate gives up after
+# 150 samples.
 _RANDOM_SEED = 20230207
 _PR_SLOTS = 11
-_PR_WARMUP = 50
 _TRIVIAL_SIFTS = 30
 _CERTIFICATE_SAMPLES = 150
 
@@ -299,8 +298,7 @@ def _certified_group(generators) -> _SignGroup | None:
     if len(orbit) < m:
         return None
     giant, kernel = False, not bound.paired
-    elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
-    for g in itertools.islice(elements, _CERTIFICATE_SAMPLES):
+    for g in itertools.islice(_product_replacement(raws), _CERTIFICATE_SAMPLES):
         cycles = _cycle_type(g)
         if bound.paired:
             cycles = [(length // 2, True) if flip else (length, False) for length, flip in cycles]
@@ -315,9 +313,11 @@ def _certified_group(generators) -> _SignGroup | None:
     return None
 
 
-def _product_replacement(generators, rng: random.Random) -> Iterator[tuple[int, ...]]:
+def _product_replacement(generators) -> Iterator[tuple[int, ...]]:
     """Random elements of the group, nearly uniform, by product replacement
-    with an accumulator (Celler et al. 1995)."""
+    with an accumulator (Celler et al. 1995), from a private
+    ``random.Random(_RANDOM_SEED)``: the same stream on every call."""
+    rng = random.Random(_RANDOM_SEED)
     slots = [generators[i % len(generators)] for i in range(max(_PR_SLOTS, len(generators)))]
     accumulator = tuple(range(len(generators[0])))
     while True:
@@ -452,18 +452,19 @@ class StabilizerChain:
     A generator added to a level extends that level's orbit and inverse
     transversal in place.
 
-    The build first sifts random elements from product replacement, seeded
-    with a fixed seed in a private ``random.Random``, so reruns on the same
-    generator list produce the identical chain.  Each nontrivial residue,
-    which fixes the first j base points and sends base point j outside its
-    orbit (or fixes every base point), joins levels 0..j.  This stops as
-    soon as the product of the orbit sizes equals the order of the
-    generators' :class:`_SignGroup`.  That proves the chain complete:
-    every strong generator is a residue of an element of the group G, so
-    orbit i lies inside the orbit of base point i under the stabilizer in
-    G of the base points before it, and the product of the orbit sizes is
-    at most |G|, which is at most the bound.  Equality forces every orbit to be full and the stabilizer of
-    the whole base in G to be trivial.
+    The build first sifts random elements from the seeded product
+    replacement stream that :func:`_certified_group` reads, from its first
+    element, so reruns on the same generator list produce the identical
+    chain.  Each nontrivial residue, which fixes the first j base points and
+    sends base point j outside its orbit (or fixes every base point), joins
+    levels 0..j.  This stops as soon as the product of the orbit sizes
+    equals the order of the generators' :class:`_SignGroup`.  That proves
+    the chain complete: every strong generator is a residue of an element of
+    the group G, so orbit i lies inside the orbit of base point i under the
+    stabilizer in G of the base points before it, and the product of the
+    orbit sizes is at most |G|, which is at most the bound.  Equality forces
+    every orbit to be full and the stabilizer of the whole base in G to be
+    trivial.
 
     After ``_TRIVIAL_SIFTS`` trivial sifts in a row below the bound, the
     random phase stops.  When the bound is ``paired``, the action pi of G
@@ -506,7 +507,7 @@ class StabilizerChain:
 
     @property
     def strong_generators(self) -> tuple[Permutation, ...]:
-        seen = dict.fromkeys(g for level in self._levels for g in level.gens)
+        seen = dict.fromkeys(g for level in self._levels for g, _ in level.gens)
         return tuple(map(_wrap, seen))
 
     @property
@@ -559,8 +560,7 @@ class StabilizerChain:
     def _random_fill(self, raws: list[tuple[int, ...]], bound: int) -> bool:
         # sift random elements until the orbit sizes multiply to the bound;
         # False if _TRIVIAL_SIFTS sifts in a row were trivial before that
-        elements = _product_replacement(raws, random.Random(_RANDOM_SEED))
-        elements = itertools.islice(elements, _PR_WARMUP, None)
+        elements = _product_replacement(raws)
         trivial = 0
         while math.prod(map(len, self._levels)) < bound:
             if trivial == _TRIVIAL_SIFTS:
@@ -582,9 +582,8 @@ class StabilizerChain:
             self._levels.append(_Level(g, self._identity))
         ginv = _invert(g)
         for level in self._levels[first : last + 1]:
-            gens, gensinv, orbit, trinv = level.gens, level.gensinv, level.orbit, level.trinv
-            gens.append(g)
-            gensinv.append(ginv)
+            gens, orbit, trinv = level.gens, level.orbit, level.trinv
+            gens.append((g, ginv))
             level.tested.append(0)
             if all(map(trinv.__contains__, map(g.__getitem__, orbit))):
                 continue  # g maps the orbit into itself
@@ -592,8 +591,7 @@ class StabilizerChain:
             k = 0
             while k < len(orbit):
                 x = orbit[k]
-                pairs = zip(gens, gensinv) if k >= old else ((g, ginv),)
-                for h, hinv in pairs:
+                for h, hinv in gens if k >= old else ((g, ginv),):
                     y = h[x]
                     if y not in trinv:
                         trinv[y] = _compose(hinv, trinv[x])
@@ -624,7 +622,7 @@ class StabilizerChain:
                 return i - 1
             x = orbit[pos]
             vx, ux = trinv[x], None
-            for k, g in enumerate(gens):
+            for k, (g, _) in enumerate(gens):
                 if tested[k] != pos:
                     continue
                 tested[k] += 1
@@ -641,17 +639,17 @@ class StabilizerChain:
 
 class _Level(Mapping):
     """One level of a :class:`StabilizerChain`, laid out as its docstring
-    says; tested[k] counts the orbit points whose Schreier generator with
-    gens[k] has been sifted.  As a Mapping it is the level's transversal:
-    orbit point x -> u_x, inverted from v_x when it is read."""
+    says; gens[k] is a generator g with its inverse, (g, g^-1), and
+    tested[k] counts the orbit points whose Schreier generator with g has
+    been sifted.  As a Mapping it is the level's transversal: orbit point
+    x -> u_x, inverted from v_x when it is read."""
 
-    __slots__ = ("point", "gens", "gensinv", "orbit", "trinv", "tested")
+    __slots__ = ("point", "gens", "orbit", "trinv", "tested")
 
     def __init__(self, moving: tuple[int, ...], identity: tuple[int, ...]):
         # the base point is the smallest point that moving moves
         self.point = next(i for i, x in enumerate(moving) if x != i)
-        self.gens: list[tuple[int, ...]] = []
-        self.gensinv: list[tuple[int, ...]] = []
+        self.gens: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.orbit = [self.point]
         self.trinv = {self.point: identity}
         self.tested: list[int] = []
