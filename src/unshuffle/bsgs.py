@@ -66,6 +66,7 @@ import math
 import operator
 import random
 from collections.abc import Iterable, Iterator, Mapping
+from functools import lru_cache
 
 from .perm import Permutation, _compose, _cycle_type, _invert, _signs, _wrap
 
@@ -86,6 +87,14 @@ _RANDOM_SEED = 20230207
 _PR_SLOTS = 11
 _TRIVIAL_SIFTS = 30
 _CERTIFICATE_SAMPLES = 150
+
+
+@lru_cache(maxsize=1)
+def _factorial(n: int) -> int:
+    # n!, kept for the last n: at one deck size every sign bound, the pair
+    # images' bound and unshuffle.groups.predict_group ask for the same one,
+    # which takes seconds at n = 524287
+    return math.factorial(n)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -203,9 +212,9 @@ class _SignGroup:
         d = self.degree = len(raws[0])
         self.paired = d >= 4 and all(_wrap(g).is_centrally_symmetric() for g in raws)
         if self.paired:
-            self.characters, size = ((1, 0), (0, 1), (1, 1)), math.factorial(d // 2) << d // 2
+            self.characters, size = ((1, 0), (0, 1), (1, 1)), _factorial(d // 2) << d // 2
         else:
-            self.characters, size = ((1, 0),) if d >= 2 else (), math.factorial(d)
+            self.characters, size = ((1, 0),) if d >= 2 else (), _factorial(d)
         for g in raws:
             self.characters = self._trivial(g)
         self.order = size // (1 + len(self.characters))

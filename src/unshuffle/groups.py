@@ -4,12 +4,13 @@ The two generator families are the unshuffles ``<L, R>`` and the perfect
 shuffles ``<I, O>``.  For every even deck size the exact order of each
 group is known in closed form; :func:`predict_group` routes a deck size to
 the matching case and :func:`verify_deck_sizes` recomputes the order and
-reports whether theory and computation agree.  The recomputation, like
-:func:`group_order` and :func:`group_contains`, reads the group that
-:func:`compute_group`, the package's one engine policy, returns.  It
-takes no engine argument: a caller that wants one engine builds a
-:class:`unshuffle.bsgs.StabilizerChain` or calls
-:func:`unshuffle.bsgs.bfs_enumerate` itself.
+reports whether theory and computation agree.  :func:`group_order` and
+:func:`group_contains` read the group that :func:`compute_group`, the
+package's one engine policy, returns; so does the recomputation for
+<L, R>, and for <I, O> off 2^k at n >= 5 it reads the group off <L, R>'s
+proof (``_deck_groups``).  None of them takes an engine argument: a caller
+that wants one engine builds a :class:`unshuffle.bsgs.StabilizerChain` or
+calls :func:`unshuffle.bsgs.bfs_enumerate` itself.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -25,16 +26,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
-# compute_group looks StabilizerChain up in this module, where
-# perfbench/tracing.py rebinds it; bfs_enumerate is not called here, and is
-# bound only because tracing.py rebinds it here too
+# compute_group and _deck_groups look StabilizerChain up in this module,
+# where perfbench/tracing.py rebinds it; bfs_enumerate is not called here,
+# and is bound only because tracing.py rebinds it here too
 from .bsgs import (
     StabilizerChain,
     _affine_group,
     _certified_group,
+    _factorial,
+    _SignGroup,
     bfs_enumerate,  # noqa: F401
 )
 from .perm import Permutation, _signs
@@ -67,8 +69,8 @@ def compute_group(generators: Sequence):
     :func:`unshuffle.bsgs._certified_group`, and builds the stabilizer
     chain (``"schreier"``) where both give None.  All three are exact, and
     the first two answer at any scale.  :func:`group_order`,
-    :func:`group_contains`, :func:`verify_deck_size`,
-    :func:`pair_kernel_order` and the command line all read this group.
+    :func:`group_contains`, :func:`pair_kernel_order`, the command line
+    and :func:`verify_deck_size`'s <L, R> all read this group.
     """
     group = _affine_group(generators)
     if group is not None:
@@ -156,7 +158,7 @@ def predict_group(family: str, deck_size: int) -> GroupPrediction:
     signs, log_index, what = _RESIDUES[residue]
     if family == "perfect" and residue == 3:
         log_index, what = 1, "kernel of sign times pair sign"
-    order, factored = factorial(n) << (n - log_index), f"{n}!*2^{n - log_index}"
+    order, factored = _factorial(n) << (n - log_index), f"{n}!*2^{n - log_index}"
     kernel = 1 << (n - log_index + (signs[2:] == (1, 1)))
     return GroupPrediction(family, deck_size, f"mod{residue}", order, factored, what, kernel)
 
@@ -332,12 +334,13 @@ class VerificationRecord:
 
     def to_fields(self) -> dict:
         """Serialization dict, fixed key order, orders as decimal strings."""
+        computed, predicted = _digits(self.computed_order, self.predicted_order)
         fields: dict = {
             "two_n": self.two_n,
             "family": self.family,
             "engine_used": self.engine_used,
-            "computed_order": decimal_text(self.computed_order),
-            "predicted_order": decimal_text(self.predicted_order),
+            "computed_order": computed,
+            "predicted_order": predicted,
             "predicted_order_factored": self.predicted_order_factored,
             "match": self.match,
             "parities": {
@@ -348,9 +351,65 @@ class VerificationRecord:
             },
         }
         if self.kernel_order_computed is not None:
-            fields["kernel_order_computed"] = decimal_text(self.kernel_order_computed)
-            fields["kernel_order_predicted"] = decimal_text(self.kernel_order_predicted)
+            fields["kernel_order_computed"], fields["kernel_order_predicted"] = _digits(
+                self.kernel_order_computed, self.kernel_order_predicted
+            )
         return fields
+
+
+def _digits(computed: int, predicted: int) -> tuple[str, str]:
+    # one conversion when the two agree, as they do in a matching record
+    text = decimal_text(computed)
+    return text, (text if predicted == computed else decimal_text(predicted))
+
+
+# kept for the last deck size, so both families' records there share one
+# proof, and nothing carries over to the next size
+@lru_cache(maxsize=1)
+def _deck_groups(deck_size: int) -> dict[str, tuple]:
+    """Each family's generators, engine and group at one deck size, as
+    :func:`verify_deck_size` reports them.
+
+    <L, R> is :func:`compute_group`'s.  At n >= 5 off 2^k, <I, O> follows
+    from it by the lemma below, with no certificate of its own.  Where
+    <L, R> equals its :class:`unshuffle.bsgs._SignGroup` (every certified
+    size, and the chains at 2n = 10 and 14), <I, O> is its own sign bound
+    group, and its record names the engine that proved <L, R>.  Where
+    <L, R> is a chain below its bound (2n = 12 and 24), <I, O> is built as
+    a :class:`StabilizerChain` directly.  At 2^k and at n < 5, <I, O> is
+    ``compute_group``'s too.
+
+    *Lemma.*  Let B_n be the centrally symmetric permutations and
+    B_n' = [B_n, B_n] = E : A_n, with E the even flip vectors.  B_n / B_n'
+    is Z_2^2, whose four characters are the ones ``_SignGroup`` counts,
+    and B_n' is perfect for n >= 5.  A group G in B_n contains B_n'
+    exactly when G equals its sign bound.  The bound, the intersection of
+    the kernels of the characters trivial on G's generators, contains
+    B_n', so G contains B_n' when it is the bound.  Conversely, a group
+    between B_n' and B_n is the preimage of a subgroup of Z_2^2, which is
+    cut out by the characters trivial on it, so G is then its bound.
+    V is the mirror i -> 2n-1-i itself, with which every element of B_n
+    commutes, so V is central in B_n.  I = V L^-1 and
+    O = V R^-1, so <I, O><V> = <L, R><V> = M, and since V is central, all
+    three groups have the same commutator subgroup [M, M].  If <L, R>
+    contains B_n', then <I, O> contains [M, M], which contains
+    [B_n', B_n'] = B_n'.  The argument holds with the families swapped, so
+    <L, R> contains B_n' exactly when <I, O> does, each exactly when it
+    equals its bound.  So where <L, R> falls below its bound, <I, O> does
+    too, and :func:`unshuffle.bsgs._certified_group`, which answers only
+    with the bound, would give None for it.
+    """
+    unshuffles = family_generators("unshuffle", deck_size)
+    engine, group = compute_group(unshuffles)
+    perfect = family_generators("perfect", deck_size)
+    if deck_size < 10 or engine == "affine":
+        derived = compute_group(perfect)
+    # a certified group is its bound
+    elif engine == "certificate" or group.order == _SignGroup([g.image for g in unshuffles]).order:
+        derived = engine, _SignGroup([g.image for g in perfect])
+    else:
+        derived = "schreier", StabilizerChain(perfect)
+    return {"unshuffle": (unshuffles, engine, group), "perfect": (perfect, *derived)}
 
 
 def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
@@ -360,13 +419,13 @@ def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
     predicted one, the computed signs with :func:`parity_row`, and, where
     the kernel is computed (the unshuffle family wherever
     :func:`predict_group` gives a ``kernel_order``), its order with the
-    predicted one.  The group is :func:`compute_group`'s, and
-    ``engine_used`` names the engine that answered; the prediction only
-    supplies the expected value.
+    predicted one.  The group comes from ``_deck_groups``:
+    :func:`compute_group`'s for <L, R>, and for <I, O> mostly read off
+    <L, R>'s proof, so a call for either family proves <L, R> first.  ``engine_used`` names the
+    engine that answered; the prediction only supplies the expected value.
     """
     prediction = predict_group(family, deck_size)
-    gens = family_generators(family, deck_size)
-    engine_used, group = compute_group(gens)
+    gens, engine_used, group = _deck_groups(deck_size)[family]
 
     kernel_computed = kernel_predicted = None
     if family == "unshuffle" and prediction.kernel_order is not None:

@@ -1,12 +1,15 @@
+import collections
+import dataclasses
 import json
 import math
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle import groups, perm
+from unshuffle import bsgs, groups, perm
 from unshuffle.bsgs import StabilizerChain, bfs_enumerate
 from unshuffle.groups import (
     FAMILIES,
@@ -24,7 +27,8 @@ from unshuffle.groups import (
     verify_deck_size,
     verify_deck_sizes,
 )
-from unshuffle.shuffles import MAX_DECK, Step, format_word, word_permutation
+from unshuffle.perm import random_centrally_symmetric
+from unshuffle.shuffles import MAX_DECK, Step, format_word, shuffle_permutation, word_permutation
 
 
 def evaluate(word, size):
@@ -238,25 +242,133 @@ class TestKernel:
         assert pair_kernel_order(family_generators(family, 12)) == 2**6
         assert pair_kernel_order(family_generators(family, 24)) == 2**11
 
-    def test_one_certificate_per_record(self, monkeypatch):
-        calls = []
+    def test_one_certificate_per_deck_size(self, monkeypatch):
+        # both records at a size rest on <L, R>'s certificate, which runs
+        # once even at 24, where it fails; at 32 the affine engine answers
+        # both families first
+        calls = collections.Counter()
         true_certificate = groups._certified_group
 
         def certificate(gens):
-            calls.append(len(gens[0]))
+            calls[len(gens[0])] += 1
             return true_certificate(gens)
 
         monkeypatch.setattr(groups, "_certified_group", certificate)
-        certified = 0
-        for size in range(18, 61, 2):
-            calls.clear()
-            record = verify_deck_size(size, "unshuffle")
-            if record.engine_used == "certificate":
-                assert record.kernel_order_computed is not None
-                assert calls == [size]
-                certified += 1
-        # [18, 60] without 24 and 32
-        assert certified == 20
+        groups._deck_groups.cache_clear()
+        records = verify_deck_sizes(range(18, 61, 2))
+        assert calls == {size: 1 for size in range(18, 61, 2) if size != 32}
+        certified = [r for r in records if r.engine_used == "certificate"]
+        # [18, 60] without 24 and 32, for both families
+        assert len(certified) == 40
+        kernels = [r.kernel_order_computed for r in certified if r.family == "unshuffle"]
+        assert None not in kernels
+
+
+def perfect_group(size):
+    """<I, O> as verify_deck_size reads it: (engine, group)."""
+    _, engine, group = groups._deck_groups(size)["perfect"]
+    return engine, group
+
+
+def members(group, elements):
+    return [p in group for p in elements]
+
+
+def sample_elements(size, count=40):
+    """L, R, I, O and V, the swap of cards 0 and 1, which is not centrally
+    symmetric, then seeded random centrally symmetric elements."""
+    rng = random.Random(size)
+    letters = [shuffle_permutation(x, size) for x in "LRIOV"]
+    swap = perm.Permutation.from_cycle_text("(0 1)", size)
+    return letters + [swap] + [random_centrally_symmetric(rng, size // 2) for _ in range(count)]
+
+
+class TestOneProofPerDeckSize:
+    """<I, O> read off <L, R>'s proof: see the lemma of groups._deck_groups."""
+
+    def test_derived_group_is_the_certified_one(self):
+        for size in range(18, 401, 2):
+            if size == 24 or power_of_two_exponent(size) is not None:
+                continue
+            engine, derived = perfect_group(size)
+            certified = groups._certified_group(family_generators("perfect", size))
+            assert engine == "certificate", size
+            assert derived.order == certified.order, size
+            assert derived.characters == certified.characters, size
+
+    @pytest.mark.parametrize("size", [18, 20, 22, 40, 102, 398])
+    def test_membership_agrees(self, size):
+        # n = 9, 10, 11 and 20 cover every n mod 4 against a chain too
+        _, derived = perfect_group(size)
+        gens = family_generators("perfect", size)
+        elements = sample_elements(size)
+        found = members(derived, elements)
+        assert found == members(groups._certified_group(gens), elements)
+        if size <= 40:
+            assert found == members(StabilizerChain(gens), elements)
+        assert True in found and False in found
+
+    @pytest.mark.parametrize("size", [10, 14])
+    def test_chain_sizes_read_off_the_unshuffle_chain(self, size):
+        # <L, R> is a chain that meets its sign bound, so <I, O> is its bound
+        engine, derived = perfect_group(size)
+        chain = StabilizerChain(family_generators("perfect", size))
+        assert engine == "schreier"
+        assert derived.order == chain.order == predict_group("perfect", size).order
+        elements = sample_elements(size)
+        assert members(derived, elements) == members(chain, elements)
+
+    @pytest.mark.parametrize("size", [12, 24])
+    def test_no_certificate_below_the_bound(self, size):
+        # <L, R> falls below its bound, so by the lemma <I, O> does too and
+        # its certificate cannot succeed; it is built as a chain directly
+        assert groups._certified_group(family_generators("perfect", size)) is None
+        engine, derived = perfect_group(size)
+        assert engine == "schreier"
+        assert derived.order == predict_group("perfect", size).order
+
+    def test_engine_work_over_the_sweep(self, monkeypatch):
+        # over [2, 52]: one certificate per deck size off 2^k, and two at 6,
+        # where n < 5 and <I, O> runs the engine policy; <I, O> chains only
+        # at 6, 12 and 24.  The <L, R> chains at 6, 10 and 14 take their
+        # kernel from a certificate and a chain on their 3, 5 and 7 pairs
+        certificates, chains = collections.Counter(), []
+        true_certificate, true_chain = groups._certified_group, groups.StabilizerChain
+
+        def certificate(gens):
+            certificates[len(gens[0])] += 1
+            return true_certificate(gens)
+
+        def chain(gens):
+            chains.append(tuple(gens))
+            return true_chain(gens)
+
+        def built(family):
+            return [
+                len(gens[0])
+                for gens in chains
+                if len(gens[0]) % 2 == 0 and gens == family_generators(family, len(gens[0]))
+            ]
+
+        monkeypatch.setattr(groups, "_certified_group", certificate)
+        monkeypatch.setattr(groups, "StabilizerChain", chain)
+        groups._deck_groups.cache_clear()
+        assert all(r.match for r in verify_deck_sizes(range(2, 53, 2)))
+        off_two_powers = [d for d in range(6, 53, 2) if power_of_two_exponent(d) is None]
+        assert certificates == {3: 1, 5: 1, 7: 1, **{d: 1 + (d == 6) for d in off_two_powers}}
+        assert built("perfect") == [6, 12, 24]
+        assert built("unshuffle") == [6, 10, 12, 14, 24]
+        assert sorted(len(gens[0]) for gens in chains) == [3, 5, 6, 6, 7, 10, 12, 12, 14, 24, 24]
+
+    def test_one_factorial_per_deck_size(self, monkeypatch):
+        # both sign bounds and both predictions share one n!
+        calls = []
+        true_factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or true_factorial(n))
+        bsgs._factorial.cache_clear()
+        groups._deck_groups.cache_clear()
+        verify_deck_sizes([2002])
+        assert calls == [1001]
 
 
 class TestClassicWords:
@@ -482,6 +594,22 @@ class TestReports:
             "kernel_order_computed": "8",
             "kernel_order_predicted": "8",
         }
+
+    def test_one_conversion_per_matching_pair(self, monkeypatch):
+        converted = []
+        true_text = groups.decimal_text
+        monkeypatch.setattr(groups, "decimal_text", lambda v: converted.append(v) or true_text(v))
+        record = verify_deck_size(2002, "unshuffle")
+        assert record.match
+        fields = record.to_fields()
+        assert converted == [record.computed_order, record.kernel_order_computed]
+        assert fields["predicted_order"] == fields["computed_order"] == str(record.computed_order)
+        assert fields["kernel_order_predicted"] == str(record.kernel_order_predicted)
+        # orders that differ are converted apart
+        converted.clear()
+        wrong = dataclasses.replace(record, predicted_order=record.predicted_order + 1)
+        assert wrong.to_fields()["predicted_order"] == str(record.predicted_order + 1)
+        assert len(converted) == 3
 
     def test_orders_serialize_as_strings(self):
         record = verify_deck_size(52, "unshuffle")
