@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -310,6 +311,40 @@ class TestPinnedShuffleChains:
     }
     STRONG_GENERATORS = {"unshuffle": 42, "perfect": 39}
 
+    # SHA-256 of each whole chain (chain_digest), so a faster build must
+    # give the same chains byte for byte: 12 and 24 are proved by the pair
+    # bound, 52 and 66 are the benchmark's chain builds, 56 is the
+    # benchmark's query chain, and <L, R> at 1024 runs the closure
+    DIGESTS = {
+        ("unshuffle", 12): "e6e2c9fd4d2021858845e8d7865542f2587be8ebdc62e62269745e93f06badec",
+        ("unshuffle", 24): "124e68c3428b52e59e135f9d64a7c70585ce663b73c48c035b91f6b4266c9198",
+        ("unshuffle", 52): "035692f34bfc43bbee92816da049450828cc35fa7c79c391b9a0a7c39413d19d",
+        ("unshuffle", 56): "87054f7a06e7053e970edbee1e1e3ae473f045032127818ed282ad3aed2989a3",
+        ("unshuffle", 66): "b0a41448ada11f2425668aa8e0529064b4eaba8c58e2fa247deca472011afbe2",
+        ("unshuffle", 1024): "f56f2acbabcd637e5082d4f6c822621563e0a4ef65838e4e9ceb1f11ec47cb16",
+        ("perfect", 12): "b5fb6eff019f87899e494ec8fd6844bc2b2870b54bad9e7f990e987f20ea502b",
+        ("perfect", 24): "4ac96830cae2f60783dcde597b64dfccdfa4467b098fb32b99d6f0c9077e0c7b",
+        ("perfect", 52): "81aafd3e3e96e9740905616f6b60c13d9dd80640d9e78459111e1210ed0f6266",
+        ("perfect", 56): "1edb07fb9489d3531be362b9ffa4896c7dbe42e4072fbceab9aec5e259c0bab2",
+        ("perfect", 66): "541bbe46cd427e14c72fdae3440fe30bc7338107525d4749b41623d13a755cb9",
+    }
+
+    @staticmethod
+    def chain_digest(chain):
+        # base, strong generators and every transversal's sorted
+        # (point, representative image) pairs
+        data = (
+            chain.base,
+            [g.image for g in chain.strong_generators],
+            [sorted((x, u.image) for x, u in tr.items()) for tr in chain.transversals],
+        )
+        return hashlib.sha256(repr(data).encode()).hexdigest()
+
+    @pytest.mark.parametrize("family, size", sorted(DIGESTS))
+    def test_whole_chain(self, family, size):
+        chain = shuffle_chain(family, size)
+        assert self.chain_digest(chain) == self.DIGESTS[family, size]
+
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_chain_at_52(self, family):
         chain = shuffle_chain(family, 52)
@@ -330,6 +365,40 @@ class TestPinnedShuffleChains:
             tracemalloc.stop()
         assert chain.order == predict_group("perfect", 100).order
         assert kept <= 3_000_000
+
+
+class TestGatherEdgeCases:
+    """Chains whose levels open on a one-point orbit or have two or three
+    points, checked against the BFS closure: order, every transversal, and
+    membership of every permutation of the degree."""
+
+    @pytest.mark.parametrize(
+        "images",
+        [
+            [(1, 0)],
+            [(1, 0, 2)],
+            [(0, 2, 1)],
+            # the second generator fixes base point 0 and opens a level on 2
+            [(1, 0, 2, 3), (0, 1, 3, 2)],
+            [(1, 0, 2, 3), (0, 2, 1, 3)],
+            [(0, 1, 2, 4, 3)],
+        ],
+    )
+    def test_matches_bfs(self, images):
+        gens = [Permutation(g) for g in images]
+        chain = StabilizerChain(gens)
+        closure = bfs_enumerate(gens)
+        assert chain.order == closure.order
+        for i, (b, tr) in enumerate(zip(chain.base, chain.transversals)):
+            fixing = [p for p in closure if all(p(c) == c for c in chain.base[:i])]
+            assert set(tr) == {p(b) for p in fixing}
+            for x, u in tr.items():
+                assert u in closure
+                assert u(b) == x
+        degree = len(images[0])
+        for image in itertools.permutations(range(degree)):
+            p = Permutation(image)
+            assert chain.contains(p) == (p in closure)
 
 
 # even sizes in [4, 80] whose shuffle groups are smaller than their order
