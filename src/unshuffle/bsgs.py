@@ -250,15 +250,16 @@ def _certified_group(generators) -> _SignGroup | None:
     Let H be the group's action on the homes and G the group itself.
 
     *Giant image.*  H is transitive (one orbit walk), and a sample h has a
-    cycle of prime length p with m/2 < p <= m-3, which exists only for
-    m >= 8.  Every other cycle of h is shorter than p, so a power of h is a
-    p-cycle c.  Then H is primitive: c permutes the blocks of a block
-    system in orbits of length 1 or p.  An orbit of p > m/2 blocks leaves
-    blocks of one point; if c fixes every block, the block meeting c's
-    support contains all of it, so it has more than m/2 points and is the
-    only block.  By Jordan's theorem (Dixon & Mortimer, *Permutation
-    Groups*, Thm 3.3E) a primitive group with a p-cycle, p <= m-3,
-    contains A_m.
+    cycle of prime length p with m/2 < p <= m-3, which exists exactly when
+    m >= 8: at m >= 50 by Nagura (1952), a prime in (x, 6x/5] for every
+    x >= 25, and at m in [8, 2^21] by a sieve.  Every other cycle of h is
+    shorter than p, so a power of h is a p-cycle c.  Then H is primitive:
+    c permutes the blocks of a block system in orbits of length 1 or p.
+    An orbit of p > m/2 blocks leaves blocks of one point; if c fixes
+    every block, the block meeting c's support contains all of it, so it
+    has more than m/2 points and is the only block.  By Jordan's theorem
+    (Dixon & Mortimer, *Permutation Groups*, Thm 3.3E) a primitive group
+    with a p-cycle, p <= m-3, contains A_m.
 
     *Points.*  G = H contains A_d, so |G| is d!/2 when every generator is
     even and d! otherwise: the bound.
@@ -298,7 +299,7 @@ def _certified_group(generators) -> _SignGroup | None:
         return None
     bound = _SignGroup(raws)
     m = degree // 2 if bound.paired else degree
-    if not any(map(_is_prime, range(m // 2 + 1, m - 2))):
+    if m < 8:
         return None
     orbit, frontier = {0}, [0]
     for x in frontier:

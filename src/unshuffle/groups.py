@@ -279,25 +279,24 @@ def substitute_unshuffles(word) -> SubstitutionResult:
 
 
 def decimal_text(value: int) -> str:
-    """The decimal digits of an integer of any size.  ``str`` refuses ints
-    longer than ``sys.get_int_max_str_digits()``, 4300 digits by default,
-    which the group orders pass from 2n = 2848 on.  Past that limit the
-    integer is split into high and low bit halves, each converted to an
-    exact ``Decimal`` and recombined as high * 2**half + low, in
-    subquadratic time (CPython 3.12's ``_pylong.int_to_decimal_string``);
-    ``str(Decimal(value))`` is quadratic and took minutes for the
-    2.9-million-digit order at 2n = 1048574."""
-    try:
+    """The decimal digits of an integer of any size.  Ints of at most 2126
+    bits go through ``str``, which never refuses them: 2**2126 < 10**640,
+    and 640 is the smallest limit ``sys.set_int_max_str_digits`` takes.
+    Longer ones, the group orders from 2n = 554 on, are split into bit
+    halves down to that bound, each half an exact ``Decimal``, recombined
+    as high * 2**half + low in subquadratic time (CPython 3.12's
+    ``_pylong.int_to_decimal_string``).  So neither the digits nor the time
+    depend on the limit or the CPython patch level; with no limit, ``str``
+    took over two minutes for the 2.9-million-digit order at 2n = 1048574."""
+    if value.bit_length() <= 2126:
         return str(value)
-    except ValueError:
-        # imported only when needed: the import alone takes about 2 ms
-        import decimal
+    import decimal  # only here: the import alone takes about 2 ms
 
     powers: dict[int, decimal.Decimal] = {}
 
     def power(bits: int) -> decimal.Decimal:
         # 2**bits, kept: each depth of the split needs at most two of them
-        if bits <= 128:
+        if bits <= 2126:
             return decimal.Decimal(1 << bits)
         if bits not in powers:
             half = bits >> 1
@@ -305,7 +304,7 @@ def decimal_text(value: int) -> str:
         return powers[bits]
 
     def convert(v: int, bits: int) -> decimal.Decimal:
-        if bits <= 128:
+        if bits <= 2126:
             return decimal.Decimal(v)
         half = bits >> 1
         high = v >> half

@@ -498,6 +498,13 @@ class TestCertificate:
             else:
                 assert order == predict_group(family, size).order, size
 
+    def test_witness_range_is_nonempty_exactly_from_m_8(self):
+        # the finite part of the docstring's proof: a prime p with
+        # m/2 < p <= m-3 exists exactly when m >= 8; Nagura's bound covers
+        # m >= 50
+        for m in range(10_001):
+            assert any(map(bsgs._is_prime, range(m // 2 + 1, m - 2))) == (m >= 8), m
+
     @given(certifiable_sets())
     @settings(max_examples=60, deadline=None)
     def test_matches_forced_chain(self, gens):

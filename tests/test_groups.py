@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import dataclasses
 import json
 import math
@@ -33,6 +34,32 @@ from unshuffle.shuffles import MAX_DECK, Step, format_word, shuffle_permutation,
 
 def evaluate(word, size):
     return word_permutation(word, size)
+
+
+# CPython before 3.10.7 has no int string limit
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int string limit"
+)
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
+def decimal_calls(monkeypatch):
+    # every decimal.Decimal made while the test runs, for decimal_text's split
+    import decimal
+
+    calls, real = [], decimal.Decimal
+    monkeypatch.setattr(decimal, "Decimal", lambda v: calls.append(v) or real(v))
+    return calls
 
 
 class TestFamilies:
@@ -630,13 +657,39 @@ class TestReports:
         # below the limit str() answers; above it the split conversion must
         # give the same digits, which str() gives once the limit is raised
         values = [10**4299 + 7, 3**9013, -(7**5087), 5**71529 - 1, 2**166096 + 12345]
-        limit = sys.get_int_max_str_digits()
         texts = [decimal_text(v) for v in values]
-        sys.set_int_max_str_digits(60_000)
-        try:
+        with int_str_limit(60_000):
             assert texts == [str(v) for v in values]
-        finally:
-            sys.set_int_max_str_digits(limit)
+
+    @needs_int_limit
+    def test_decimal_text_path_is_chosen_by_size_not_limit(self, decimal_calls):
+        # with the limit lifted str() would answer, in quadratic time; a
+        # 5003-digit order still goes through the split
+        order = predict_group("unshuffle", 3250).order
+        with int_str_limit(0):
+            text = decimal_text(order)
+            assert text == str(order) and len(text) == 5003
+        assert decimal_calls
+
+    @needs_int_limit
+    def test_decimal_text_under_the_smallest_limit(self):
+        values = [10**699 + 7, 3**9012]
+        with int_str_limit(640):
+            texts = [decimal_text(v) for v in values]
+        assert texts == [str(v) for v in values]
+        assert [len(t) for t in texts] == [700, 4300]
+
+    @needs_int_limit
+    def test_decimal_text_at_the_2126_bit_bound(self, decimal_calls):
+        # 2**2126 < 10**640: the largest str() path and the smallest split
+        with int_str_limit(0):
+            for v in (2**2126 - 1, -(2**2126 - 1)):
+                assert decimal_text(v) == str(v)
+            assert not decimal_calls
+            for v in (2**2126, -(2**2126)):
+                decimal_calls.clear()
+                assert decimal_text(v) == str(v)
+                assert decimal_calls
 
     def test_records_to_json(self, run_cli, tmp_path):
         # the verify report holds each record's to_fields, in sweep order,
