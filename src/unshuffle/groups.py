@@ -7,10 +7,11 @@ the matching case and :func:`verify_deck_sizes` recomputes the order and
 reports whether theory and computation agree.  :func:`group_order` and
 :func:`group_contains` read the group that :func:`compute_group`, the
 package's one engine policy, returns; so does the recomputation for
-<L, R>, and for <I, O> off 2^k at n >= 5 it reads the group off <L, R>'s
-proof (``_deck_groups``).  None of them takes an engine argument: a caller
-that wants one engine builds a :class:`unshuffle.bsgs.StabilizerChain` or
-calls :func:`unshuffle.bsgs.bfs_enumerate` itself.
+<L, R>, and <I, O> is <L, R>'s group or read off its proof wherever one
+of two rules proves it (``_deck_groups``).  None of them takes an engine
+argument: a caller that wants one engine builds a
+:class:`unshuffle.bsgs.StabilizerChain` or calls
+:func:`unshuffle.bsgs.bfs_enumerate` itself.
 
 Every element of either family preserves the mirror pairing i <-> 2n-1-i,
 so both groups sit inside the group of centrally symmetric permutations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-# compute_group and _deck_groups look StabilizerChain up in this module,
-# where perfbench/tracing.py rebinds it; bfs_enumerate is not called here,
+# compute_group looks StabilizerChain up in this module, where
+# perfbench/tracing.py rebinds it; bfs_enumerate is not called here,
 # and is bound only because tracing.py rebinds it here too
 from .bsgs import (
     StabilizerChain,
@@ -47,6 +48,7 @@ from .shuffles import (
     check_deck_size,
     invert_word,
     parse_word,
+    shuffle_order,
     shuffle_permutation,
     word_power,
 )
@@ -170,8 +172,6 @@ def parity_row(n: int) -> tuple[int, int, int, int]:
     return _RESIDUES[n % 4][0]
 
 
-# kept for the last deck size, so both families' records there share it
-@lru_cache(maxsize=1)
 def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
     left, right = (_signs(g.image) for g in family_generators("unshuffle", deck_size))
     return left[0], right[0], left[1], right[1]
@@ -363,20 +363,35 @@ def _digits(computed: int, predicted: int) -> tuple[str, str]:
 
 
 # kept for the last deck size, so both families' records there share one
-# proof, and nothing carries over to the next size
+# proof and one sign row, and nothing carries over to the next size
 @lru_cache(maxsize=1)
-def _deck_groups(deck_size: int) -> dict[str, tuple]:
-    """Each family's generators, engine and group at one deck size, as
-    :func:`verify_deck_size` reports them.
+def _deck_groups(deck_size: int) -> tuple[dict[str, tuple], tuple[int, int, int, int]]:
+    """Each family's generators, engine and group at one deck size, and
+    :func:`computed_parity_row`, as :func:`verify_deck_size` reports them.
 
-    <L, R> is :func:`compute_group`'s.  At n >= 5 off 2^k, <I, O> follows
-    from it by the lemma below, with no certificate of its own.  Where
-    <L, R> equals its :class:`unshuffle.bsgs._SignGroup` (every certified
-    size, and the chains at 2n = 10 and 14), <I, O> is its own sign bound
-    group, and its record names the engine that proved <L, R>.  Where
-    <L, R> is a chain below its bound (2n = 12 and 24), <I, O> is built as
-    a :class:`StabilizerChain` directly.  At 2^k and at n < 5, <I, O> is
-    ``compute_group``'s too.
+    <L, R> is :func:`compute_group`'s.  <I, O> comes from the first of
+    three rules that applies, each a proof of the group it gives:
+
+    1. *Same group.*  If V lies in <I> and in <L, R>, then <I, O> is
+       <L, R>, with its engine and group.  I = V L^-1 and O = V R^-1 lie
+       in <L, R>, and L = I^-1 V and R = O^-1 V lie in <I, O>.  I sends
+       i+1 to 2(i+1) and V sends it to -(i+1), both mod m = 2n+1, so
+       I^j = V exactly when 2^j = -1 (mod m).  With r the order of I,
+       which is that of 2 mod m, the cyclic group of the powers of 2
+       holds an element of order 2 only when r is even, and then only
+       2^(r/2).  So V lies in <I> exactly when 2^(r//2) = -1 (mod m), and
+       this arithmetic runs before the membership test.  It holds at 2,
+       4, 12, 24, every 2^k and about a third of the other sizes, and
+       never at n = 3 (mod 4), where <I, O> has index 2: there
+       m = 7 (mod 8), so the Jacobi symbols are (2/m) = +1 and
+       (-1/m) = -1, and no power of 2 is -1 (mod m).
+    2. *Commutator lemma.*  Otherwise, if the certificate proved <L, R>,
+       <I, O> is its own :class:`unshuffle.bsgs._SignGroup` by the lemma
+       below, and its record names the certificate.  The certificate
+       answers only on m >= 8 pairs, so n >= 5, and only with the bound,
+       so <L, R> is its bound.
+    3. *Engine policy.*  Otherwise <I, O> is ``compute_group``'s: at
+       2n = 6 and 14.
 
     *Lemma.*  Let B_n be the centrally symmetric permutations and
     B_n' = [B_n, B_n] = E : A_n, with E the even flip vectors.  B_n / B_n'
@@ -401,14 +416,15 @@ def _deck_groups(deck_size: int) -> dict[str, tuple]:
     unshuffles = family_generators("unshuffle", deck_size)
     engine, group = compute_group(unshuffles)
     perfect = family_generators("perfect", deck_size)
-    if deck_size < 10 or engine == "affine":
-        derived = compute_group(perfect)
-    # a certified group is its bound
-    elif engine == "certificate" or group.order == _SignGroup([g.image for g in unshuffles]).order:
+    r = shuffle_order("I", deck_size)
+    if pow(2, r // 2, deck_size + 1) == deck_size and shuffle_permutation("V", deck_size) in group:
+        derived = engine, group
+    elif engine == "certificate":
         derived = engine, _SignGroup([g.image for g in perfect])
     else:
-        derived = "schreier", StabilizerChain(perfect)
-    return {"unshuffle": (unshuffles, engine, group), "perfect": (perfect, *derived)}
+        derived = compute_group(perfect)
+    families = {"unshuffle": (unshuffles, engine, group), "perfect": (perfect, *derived)}
+    return families, computed_parity_row(deck_size)
 
 
 def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
@@ -418,20 +434,19 @@ def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
     predicted one, the computed signs with :func:`parity_row`, and, where
     the kernel is computed (the unshuffle family wherever
     :func:`predict_group` gives a ``kernel_order``), its order with the
-    predicted one.  The group comes from ``_deck_groups``:
-    :func:`compute_group`'s for <L, R>, and for <I, O> mostly read off
-    <L, R>'s proof, so a call for either family proves <L, R> first.  ``engine_used`` names the
-    engine that answered; the prediction only supplies the expected value.
+    predicted one.  The group and the signs come from one record per deck
+    size, ``_deck_groups``: :func:`compute_group`'s group for <L, R>, and
+    for <I, O> mostly <L, R>'s own or read off its proof, so a call for
+    either family proves <L, R> first.  ``engine_used`` names the engine
+    that answered; the prediction only supplies the expected value.
     """
     prediction = predict_group(family, deck_size)
-    gens, engine_used, group = _deck_groups(deck_size)[family]
+    families, parities = _deck_groups(deck_size)
+    gens, engine_used, group = families[family]
 
-    kernel_computed = kernel_predicted = None
-    if family == "unshuffle" and prediction.kernel_order is not None:
-        kernel_computed = pair_kernel_order(gens, group)
-        kernel_predicted = prediction.kernel_order
+    kernel_predicted = prediction.kernel_order if family == "unshuffle" else None
+    kernel_computed = None if kernel_predicted is None else pair_kernel_order(gens, group)
 
-    parities = computed_parity_row(deck_size)
     return VerificationRecord(
         two_n=deck_size,
         family=family,

@@ -54,8 +54,8 @@ def test_package_namespace_is_the_exports():
     assert public == EXPORTED
     assert public_functions(elmsley) == {"perfect_elmsley_word", "unshuffle_swap_word"}
     assert public_functions(groups) == {
-        "compute_group", "decimal_text", "diaconis_words", "family_generators",
-        "group_contains", "group_order", "pair_kernel_order", "parity_row",
-        "power_of_two_exponent", "predict_group", "substitute_unshuffles",
+        "compute_group", "computed_parity_row", "decimal_text", "diaconis_words",
+        "family_generators", "group_contains", "group_order", "pair_kernel_order",
+        "parity_row", "power_of_two_exponent", "predict_group", "substitute_unshuffles",
         "verify_deck_size", "verify_deck_sizes",
     }

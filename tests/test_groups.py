@@ -29,7 +29,14 @@ from unshuffle.groups import (
     verify_deck_sizes,
 )
 from unshuffle.perm import random_centrally_symmetric
-from unshuffle.shuffles import MAX_DECK, Step, format_word, shuffle_permutation, word_permutation
+from unshuffle.shuffles import (
+    MAX_DECK,
+    Step,
+    format_word,
+    shuffle_order,
+    shuffle_permutation,
+    word_permutation,
+)
 
 
 def evaluate(word, size):
@@ -178,17 +185,20 @@ class TestParities:
         walked = []
         walk = perm._cycle_type
         monkeypatch.setattr(perm, "_cycle_type", lambda image: walked.append(image) or walk(image))
-        computed_parity_row.cache_clear()
         assert computed_parity_row(58) == parity_row(29)
         left, right = family_generators("unshuffle", 58)
         assert walked == [left.image, right.image]
 
-    def test_computed_once_per_size_in_a_sweep(self):
-        # both families' records at one size share the computed row
-        computed_parity_row.cache_clear()
+    def test_computed_once_per_size_in_a_sweep(self, monkeypatch):
+        # both families' records at one size share the computed row, which
+        # is kept in the one per-size record
+        calls = []
+        monkeypatch.setattr(
+            groups, "computed_parity_row", lambda d: calls.append(d) or computed_parity_row(d)
+        )
+        groups._deck_groups.cache_clear()
         verify_deck_sizes([18, 20, 22])
-        info = computed_parity_row.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        assert calls == [18, 20, 22]
 
 
 def kernel_order(n: int, family: str = "unshuffle") -> int | None:
@@ -291,10 +301,17 @@ class TestKernel:
         assert None not in kernels
 
 
-def perfect_group(size):
-    """<I, O> as verify_deck_size reads it: (engine, group)."""
-    _, engine, group = groups._deck_groups(size)["perfect"]
+def deck_group(size, family="perfect"):
+    """One family's group as verify_deck_size reads it: (engine, group)."""
+    _, engine, group = groups._deck_groups(size)[0][family]
     return engine, group
+
+
+def reversal_power(size):
+    """I^(r//2), r the order of I, and V: equal exactly when V lies in <I>,
+    since <I> is cyclic and V has order 2."""
+    r = shuffle_order("I", size)
+    return shuffle_permutation("I", size) ** (r // 2), shuffle_permutation("V", size)
 
 
 def members(group, elements):
@@ -311,13 +328,37 @@ def sample_elements(size, count=40):
 
 
 class TestOneProofPerDeckSize:
-    """<I, O> read off <L, R>'s proof: see the lemma of groups._deck_groups."""
+    """<I, O> by the three rules of groups._deck_groups: <L, R>'s group,
+    read off <L, R>'s proof by the lemma there, or the engine policy."""
+
+    def test_reversal_in_the_in_shuffle_by_arithmetic(self):
+        # rule 1's test: V is a power of I exactly when 2^(r//2) = -1
+        # (mod 2n+1), and never at n = 3 (mod 4)
+        found = 0
+        for size in range(2, 2001, 2):
+            arithmetic = pow(2, shuffle_order("I", size) // 2, size + 1) == size
+            power, reversal = reversal_power(size)
+            assert arithmetic == (power == reversal), size
+            assert not (arithmetic and size // 2 % 4 == 3), size
+            found += arithmetic
+        assert 0 < found < 1000
+
+    def test_same_group_exactly_where_v_is_a_power_of_i(self):
+        # rule 1 over [2, 200] and 2^k up to 1024, where V lies in <L, R>
+        # at every size: 12, 24 and every 2^k among the sizes it answers
+        for size in [*range(2, 201, 2), 256, 512, 1024]:
+            power, reversal = reversal_power(size)
+            _, group = deck_group(size, "unshuffle")
+            assert reversal in group, size
+            assert (deck_group(size)[1] is group) == (power == reversal), size
+            if size in (12, 24) or power_of_two_exponent(size) is not None:
+                assert power == reversal, size
 
     def test_derived_group_is_the_certified_one(self):
         for size in range(18, 401, 2):
             if size == 24 or power_of_two_exponent(size) is not None:
                 continue
-            engine, derived = perfect_group(size)
+            engine, derived = deck_group(size)
             certified = groups._certified_group(family_generators("perfect", size))
             assert engine == "certificate", size
             assert derived.order == certified.order, size
@@ -326,7 +367,7 @@ class TestOneProofPerDeckSize:
     @pytest.mark.parametrize("size", [18, 20, 22, 40, 102, 398])
     def test_membership_agrees(self, size):
         # n = 9, 10, 11 and 20 cover every n mod 4 against a chain too
-        _, derived = perfect_group(size)
+        _, derived = deck_group(size)
         gens = family_generators("perfect", size)
         elements = sample_elements(size)
         found = members(derived, elements)
@@ -336,9 +377,10 @@ class TestOneProofPerDeckSize:
         assert True in found and False in found
 
     @pytest.mark.parametrize("size", [10, 14])
-    def test_chain_sizes_read_off_the_unshuffle_chain(self, size):
-        # <L, R> is a chain that meets its sign bound, so <I, O> is its bound
-        engine, derived = perfect_group(size)
+    def test_chain_sizes_agree_with_a_chain(self, size):
+        # at 10 <I, O> is <L, R>'s chain (rule 1); at 14 neither rule
+        # answers, and the engine policy builds a chain of its own
+        engine, derived = deck_group(size)
         chain = StabilizerChain(family_generators("perfect", size))
         assert engine == "schreier"
         assert derived.order == chain.order == predict_group("perfect", size).order
@@ -348,16 +390,20 @@ class TestOneProofPerDeckSize:
     @pytest.mark.parametrize("size", [12, 24])
     def test_no_certificate_below_the_bound(self, size):
         # <L, R> falls below its bound, so by the lemma <I, O> does too and
-        # its certificate cannot succeed; it is built as a chain directly
-        assert groups._certified_group(family_generators("perfect", size)) is None
-        engine, derived = perfect_group(size)
+        # its certificate cannot succeed; <I, O> is <L, R>'s chain (rule 1)
+        # and decides membership as a chain of I and O does
+        gens = family_generators("perfect", size)
+        assert groups._certified_group(gens) is None
+        engine, derived = deck_group(size)
         assert engine == "schreier"
         assert derived.order == predict_group("perfect", size).order
+        elements = sample_elements(size)
+        assert members(derived, elements) == members(StabilizerChain(gens), elements)
 
     def test_engine_work_over_the_sweep(self, monkeypatch):
-        # over [2, 52]: one certificate per deck size off 2^k, and two at 6,
-        # where n < 5 and <I, O> runs the engine policy; <I, O> chains only
-        # at 6, 12 and 24.  The <L, R> chains at 6, 10 and 14 take their
+        # over [2, 52]: one certificate per deck size off 2^k, and two at 6
+        # and 14, where <I, O> runs the engine policy (rule 3); <I, O>
+        # chains only there.  The <L, R> chains at 6, 10 and 14 take their
         # kernel from a certificate and a chain on their 3, 5 and 7 pairs
         certificates, chains = collections.Counter(), []
         true_certificate, true_chain = groups._certified_group, groups.StabilizerChain
@@ -382,10 +428,12 @@ class TestOneProofPerDeckSize:
         groups._deck_groups.cache_clear()
         assert all(r.match for r in verify_deck_sizes(range(2, 53, 2)))
         off_two_powers = [d for d in range(6, 53, 2) if power_of_two_exponent(d) is None]
-        assert certificates == {3: 1, 5: 1, 7: 1, **{d: 1 + (d == 6) for d in off_two_powers}}
-        assert built("perfect") == [6, 12, 24]
+        assert certificates == {
+            3: 1, 5: 1, 7: 1, **{d: 1 + (d in (6, 14)) for d in off_two_powers}
+        }
+        assert built("perfect") == [6, 14]
         assert built("unshuffle") == [6, 10, 12, 14, 24]
-        assert sorted(len(gens[0]) for gens in chains) == [3, 5, 6, 6, 7, 10, 12, 12, 14, 24, 24]
+        assert sorted(len(gens[0]) for gens in chains) == [3, 5, 6, 6, 7, 10, 12, 14, 14, 24]
 
     def test_one_factorial_per_deck_size(self, monkeypatch):
         # both sign bounds and both predictions share one n!
@@ -653,6 +701,7 @@ class TestReports:
         assert fields["computed_order"] == fields["predicted_order"]
         assert decimal_text(10**5000) == "1" + "0" * 5000
 
+    @needs_int_limit
     def test_decimal_text_past_the_limit_matches_str(self):
         # below the limit str() answers; above it the split conversion must
         # give the same digits, which str() gives once the limit is raised
