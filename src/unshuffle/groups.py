@@ -25,7 +25,6 @@ the kernel of the pair action off the same row.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ from .bsgs import (
     _SignGroup,
     bfs_enumerate,  # noqa: F401
 )
-from .perm import Permutation, _signs
+from .perm import Permutation, _signs, _Value
 from .shuffles import (
     Step,
     Word,
@@ -114,15 +113,35 @@ _RESIDUES = {
 }
 
 
-@dataclass(frozen=True)
-class GroupPrediction:
-    family: str
-    deck_size: int
-    case: str
-    order: int
-    order_factored: str
-    characterization: str
-    kernel_order: int | None = None
+class GroupPrediction(_Value):
+    __slots__ = (
+        "family", "deck_size", "case", "order", "order_factored", "characterization",
+        "kernel_order",
+    )
+
+    def __init__(
+        self, family: str, deck_size: int, case: str, order: int, order_factored: str,
+        characterization: str, kernel_order: int | None = None,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "deck_size", deck_size)
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order_factored", order_factored)
+        object.__setattr__(self, "characterization", characterization)
+        object.__setattr__(self, "kernel_order", kernel_order)
+
+    def _values(self) -> tuple:
+        return (
+            self.family, self.deck_size, self.case, self.order, self.order_factored,
+            self.characterization, self.kernel_order,
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.family, self.deck_size, self.case, self.order, self.order_factored,
+            self.characterization, self.kernel_order,
+        ))
 
 
 def predict_group(family: str, deck_size: int) -> GroupPrediction:
@@ -318,18 +337,43 @@ def decimal_text(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    two_n: int
-    family: str
-    engine_used: str
-    computed_order: int
-    predicted_order: int
-    predicted_order_factored: str
-    match: bool
-    parities: tuple[int, int, int, int]
-    kernel_order_computed: int | None = None
-    kernel_order_predicted: int | None = None
+class VerificationRecord(_Value):
+    __slots__ = (
+        "two_n", "family", "engine_used", "computed_order", "predicted_order",
+        "predicted_order_factored", "match", "parities", "kernel_order_computed",
+        "kernel_order_predicted",
+    )
+
+    def __init__(
+        self, two_n: int, family: str, engine_used: str, computed_order: int,
+        predicted_order: int, predicted_order_factored: str, match: bool,
+        parities: tuple[int, int, int, int], kernel_order_computed: int | None = None,
+        kernel_order_predicted: int | None = None,
+    ):
+        object.__setattr__(self, "two_n", two_n)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "engine_used", engine_used)
+        object.__setattr__(self, "computed_order", computed_order)
+        object.__setattr__(self, "predicted_order", predicted_order)
+        object.__setattr__(self, "predicted_order_factored", predicted_order_factored)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "parities", parities)
+        object.__setattr__(self, "kernel_order_computed", kernel_order_computed)
+        object.__setattr__(self, "kernel_order_predicted", kernel_order_predicted)
+
+    def _values(self) -> tuple:
+        return (
+            self.two_n, self.family, self.engine_used, self.computed_order,
+            self.predicted_order, self.predicted_order_factored, self.match, self.parities,
+            self.kernel_order_computed, self.kernel_order_predicted,
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            self.two_n, self.family, self.engine_used, self.computed_order,
+            self.predicted_order, self.predicted_order_factored, self.match, self.parities,
+            self.kernel_order_computed, self.kernel_order_predicted,
+        ))
 
     def to_fields(self) -> dict:
         """Serialization dict, fixed key order, orders as decimal strings."""

@@ -15,7 +15,42 @@ import re
 from collections.abc import Iterable
 
 
-class Permutation:
+class _Value:
+    """Base of the package's immutable value types, in place of frozen
+    dataclasses, whose module and what it imports would cost every fresh
+    process several milliseconds.
+
+    A subclass lists its fields in ``__slots__``, sets each once through
+    ``object.__setattr__`` in ``__init__``, and returns them in that order
+    from ``_values``, which gives ``==`` (same class only), the repr
+    ``Name(field=value, ...)`` and ``__reduce__``.  Pickle and copy need
+    that reduce, since their default restore of slots goes through the
+    ``__setattr__`` that raises.  Each subclass writes out its own
+    ``__hash__``, one call cheaper than hashing ``_values()``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Permutation(_Value):
     __slots__ = ("image",)
 
     image: tuple[int, ...]
@@ -34,8 +69,8 @@ class Permutation:
             seen[x] = True
         object.__setattr__(self, "image", img)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
+    def _values(self) -> tuple:
+        return (self.image,)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

@@ -32,25 +32,30 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
-from .perm import Permutation, _invert, _wrap
+from .perm import Permutation, _invert, _Value, _wrap
 
 LETTERS = "LRIOV"
 MAX_DECK = 1 << 20
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(_Value):
     """One shuffle in a word: a letter from LRIOV, possibly inverted."""
 
-    letter: str
-    inverted: bool = False
+    __slots__ = ("letter", "inverted")
 
-    def __post_init__(self):
+    def __init__(self, letter: str, inverted: bool = False):
         # a tuple, so that "" and "IO" are not taken as substrings of LETTERS
-        if self.letter not in tuple(LETTERS):
-            raise ValueError(f"unknown shuffle letter {self.letter!r}")
+        if letter not in tuple(LETTERS):
+            raise ValueError(f"unknown shuffle letter {letter!r}")
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "inverted", inverted)
+
+    def _values(self) -> tuple:
+        return self.letter, self.inverted
+
+    def __hash__(self) -> int:
+        return hash((self.letter, self.inverted))
 
     def inverse(self) -> "Step":
         return Step(self.letter, not self.inverted)

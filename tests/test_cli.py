@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -519,7 +518,15 @@ class TestVerify:
         def wrong_at_six(family, deck_size):
             prediction = true_prediction(family, deck_size)
             if (family, deck_size) == ("perfect", 6):
-                prediction = dataclasses.replace(prediction, order=prediction.order + 1)
+                prediction = groups.GroupPrediction(
+                    prediction.family,
+                    prediction.deck_size,
+                    prediction.case,
+                    prediction.order + 1,
+                    prediction.order_factored,
+                    prediction.characterization,
+                    prediction.kernel_order,
+                )
             return prediction
 
         monkeypatch.setattr(groups, "predict_group", wrong_at_six)
@@ -611,3 +618,16 @@ class TestUsage:
             code = process.wait(timeout=60)
         assert (tmp_path / "stderr.txt").read_bytes() == b""
         assert code == 141
+
+    def test_import_loads_no_dataclasses(self):
+        # a fresh interpreter, since this one has loaded them for pytest;
+        # every command runs in a new process that would pay for them
+        code = (
+            "import sys, unshuffle, unshuffle.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+        )
+        assert result.stdout == "[]\n"

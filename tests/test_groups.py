@@ -1,6 +1,5 @@
 import collections
 import contextlib
-import dataclasses
 import json
 import math
 import random
@@ -682,7 +681,18 @@ class TestReports:
         assert fields["kernel_order_predicted"] == str(record.kernel_order_predicted)
         # orders that differ are converted apart
         converted.clear()
-        wrong = dataclasses.replace(record, predicted_order=record.predicted_order + 1)
+        wrong = VerificationRecord(
+            record.two_n,
+            record.family,
+            record.engine_used,
+            record.computed_order,
+            record.predicted_order + 1,
+            record.predicted_order_factored,
+            record.match,
+            record.parities,
+            record.kernel_order_computed,
+            record.kernel_order_predicted,
+        )
         assert wrong.to_fields()["predicted_order"] == str(record.predicted_order + 1)
         assert len(converted) == 3
 
