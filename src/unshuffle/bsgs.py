@@ -17,8 +17,10 @@ or prove the group without either:
   :class:`_SignGroup` with a seeded witness: a giant (A_m or S_m) action
   on the mirror pairs or the points, by Jordan's theorem, and for
   centrally symmetric generators one flip pattern that is not constant.
-  A sample costs one O(d) cycle walk, as does a membership test, so it
-  answers at thousands of cards where a chain would need gigabytes.  It gives
+  A sample costs one cycle walk, over the n mirror pairs when the bound
+  is paired, which stops early once the flip witness is found; a
+  membership test costs one such walk in full.  So it answers at
+  thousands of cards where a chain would need gigabytes.  It gives
   None where no witness exists (the shuffle groups at 2n <= 16, 24 and
   2^k, intransitive or imprimitive groups, small degrees).
 
@@ -58,7 +60,8 @@ sift calls directly.  The chain build composes with its own generators
 instead: each one is stored with an ``operator.itemgetter`` over it and
 over its inverse, so g then p is one C call on p, 3x faster than the
 kernel at 52 points, and one ``itemgetter`` over an orbit reads all of
-g's images on it at once.  BFS packs them into bytes for compact
+g's images on it at once.  The sample stream composes through one such
+gather per product too.  BFS packs them into bytes for compact
 hashing and translation, which caps that engine at degree
 ``BFS_MAX_DEGREE`` = 255.
 """
@@ -189,6 +192,8 @@ def bfs_enumerate(generators: Iterable) -> Closure:
 class _SignGroup:
     """A group that contains the one the generators produce, proved by an
     O(d) check of each generator: an upper bound with ``order`` and ``in``.
+    :meth:`of` walks the generators; a caller that knows their signs
+    builds it from those alone.
 
     If every generator is centrally symmetric (i + j = d-1 implies
     image[i] + image[j] = d-1) and d = 2n >= 4 (``paired``), the group lies
@@ -207,37 +212,56 @@ class _SignGroup:
     in it (a = 1) keeps the even vectors, f = n - 1, and f = n otherwise.
     The kernel of the pair action on any group inside the bound lies in
     this one.  ``kernel`` is None unless ``paired``.
+
+    ``signs`` holds each generator's (sign, pair sign), as the walk gave
+    them; the pair sign is read only when ``paired``.
     """
 
-    __slots__ = ("degree", "paired", "characters", "order", "kernel")
+    __slots__ = ("degree", "paired", "signs", "characters", "order", "kernel")
 
-    def __init__(self, raws: list[tuple[int, ...]]):
-        # raws are the nonempty image tuples of _normalize, already checked
-        d = self.degree = len(raws[0])
-        self.paired = d >= 4 and all(_wrap(g).is_centrally_symmetric() for g in raws)
-        if self.paired:
+    def __init__(self, degree: int, paired: bool, signs: list[tuple[int, int]]):
+        d = self.degree = degree
+        self.paired = paired
+        self.signs = signs
+        if paired:
             self.characters, size = ((1, 0), (0, 1), (1, 1)), _factorial(d // 2) << d // 2
         else:
             self.characters, size = ((1, 0),) if d >= 2 else (), _factorial(d)
-        for g in raws:
-            self.characters = self._trivial(g)
+        for pair in signs:
+            self.characters = self._trivial(pair)
         self.order = size // (1 + len(self.characters))
-        self.kernel = 1 << (d // 2 - any(a for a, _ in self.characters)) if self.paired else None
+        self.kernel = 1 << (d // 2 - any(a for a, _ in self.characters)) if paired else None
 
-    def _trivial(self, g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        # the characters kept so far that are +1 on g
-        sign, pair_sign = _signs(g)
+    @classmethod
+    def of(cls, raws: list[tuple[int, ...]]) -> _SignGroup:
+        # raws are the nonempty image tuples of _normalize, already checked;
+        # one walk each, over the mirror pairs when they are paired
+        d = len(raws[0])
+        paired = d >= 4 and all(_wrap(g).is_centrally_symmetric() for g in raws)
+        return cls(d, paired, [_signs(g, paired) for g in raws])
+
+    def _trivial(self, signs: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        # the characters kept so far that are +1 on an element with these signs
+        sign, pair_sign = signs
         return tuple((a, b) for a, b in self.characters if sign**a * pair_sign**b == 1)
 
     def __contains__(self, p) -> bool:
         raw = _raw(p)
         if len(raw) != self.degree or (self.paired and not _wrap(raw).is_centrally_symmetric()):
             return False
-        return self._trivial(raw) == self.characters
+        return self._trivial(_signs(raw, self.paired)) == self.characters
 
 
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1))
+def _long_primes(m: int) -> bytearray:
+    # flags[l] for l in [0, m], set exactly when l is a prime in (m/2, m-3]:
+    # the cycle lengths the certificate's giant witness needs.  Every
+    # multiple of q <= sqrt(m) there is a proper one, since q <= m/2
+    low = m // 2 + 1
+    flags = bytearray(low) + b"\1" * (m - 2 - low) + bytearray(3)
+    for q in range(2, math.isqrt(m) + 1):
+        first = -(-low // q) * q
+        flags[first : m - 2 : q] = bytes(len(range(first, m - 2, q)))
+    return flags
 
 
 def _certified_group(generators) -> _SignGroup | None:
@@ -272,11 +296,11 @@ def _certified_group(generators) -> _SignGroup | None:
     first pair and r/l is odd.  g commutes with the mirror, so a cycle of
     g that holds its first point's mirror is a pair cycle of half its
     length that g^l flips, and any other, with its mirror twin, is one of
-    its own length that g^l fixes; one O(d) walk reads them.  Suppose one
-    such vector v is not constant, with v_i = 1 and v_j = 0.  Two of the
-    other n-2 >= 3 coordinates agree, say k and l, so the double
-    transposition (i j)(k l) in A_n sends v to v + e_i + e_j, and K holds
-    e_i + e_j.
+    its own length that g^l fixes; one walk over the pairs reads them.
+    Suppose one such vector v is not constant, with v_i = 1 and v_j = 0.
+    Two of the other n-2 >= 3 coordinates agree, say k and l, so the
+    double transposition (i j)(k l) in A_n sends v to v + e_i + e_j, and
+    K holds e_i + e_j.
     A_n is 2-transitive, so K holds every e_a + e_b and with them the
     even vectors E.  Modulo E, the part of G over A_n lies in
     Z_2 x A_n and maps onto A_n; A_n is perfect (n >= 5), so the derived
@@ -285,6 +309,16 @@ def _certified_group(generators) -> _SignGroup | None:
     :class:`_SignGroup` counts, so |G| = |B_n| / (the number of them
     trivial on the generators): the bound.  No odd-weight vector is
     needed.
+
+    *Cost.*  The primes in (m/2, m-3] are listed once per call.  A sample
+    is walked over its homes (:func:`unshuffle.perm._cycle_type`, paired
+    when the bound is), in full until the flip witness is found, since
+    that test reads every cycle.  After that only the giant test is left,
+    and it reads one cycle at most: a cycle longer than m/2 holds more
+    than half the homes, so a sample has at most one.  So the walk stops
+    at the first cycle longer than m/2, or once more than m/2 homes are
+    covered without one, since the rest cannot hold it.  Which sample is
+    the witness does not change.
 
     Samples come from product replacement in a private
     ``random.Random(_RANDOM_SEED)``, at most ``_CERTIFICATE_SAMPLES`` of
@@ -297,7 +331,7 @@ def _certified_group(generators) -> _SignGroup | None:
     raws, degree, _ = _normalize(generators)
     if not raws:
         return None
-    bound = _SignGroup(raws)
+    bound = _SignGroup.of(raws)
     m = degree // 2 if bound.paired else degree
     if m < 8:
         return None
@@ -311,15 +345,21 @@ def _certified_group(generators) -> _SignGroup | None:
                 frontier.append(y)
     if len(orbit) < m:
         return None
+    prime = _long_primes(m)
     giant, kernel = False, not bound.paired
     for g in itertools.islice(_product_replacement(raws), _CERTIFICATE_SAMPLES):
-        cycles = _cycle_type(g)
-        if bound.paired:
-            cycles = [(length // 2, True) if flip else (length, False) for length, flip in cycles]
-        giant = giant or any(
-            m < 2 * length <= 2 * m - 6 and _is_prime(length) for length, _ in cycles
-        )
-        if not kernel:
+        if kernel:
+            covered = 0
+            for length, _ in _cycle_type(g, bound.paired):
+                if 2 * length > m:
+                    giant = prime[length]
+                    break
+                covered += length
+                if 2 * covered > m:
+                    break
+        else:
+            cycles = list(_cycle_type(g, True))
+            giant = giant or any(prime[length] for length, _ in cycles)
             r = math.lcm(*(length for length, _ in cycles))
             kernel = len({flip and r // length % 2 == 1 for length, flip in cycles}) == 2
         if giant and kernel:
@@ -334,13 +374,20 @@ def _product_replacement(generators) -> Iterator[tuple[int, ...]]:
     rng = random.Random(_RANDOM_SEED)
     slots = [generators[i % len(generators)] for i in range(max(_PR_SLOTS, len(generators)))]
     accumulator = tuple(range(len(generators[0])))
+    # p then q is one gather, itemgetter(*p)(q), as in the chain build.
+    # _compose stays the list-indexing kernel: made a gather, it sped the
+    # chain's sift 2.7x, but perfbench's query workload then read 19% more
+    # peak memory, from the per-batch latency arrays it keeps (ROADMAP item
+    # 9).  The generators are not the identity, so the degree is at least 2
+    # and each gather returns a tuple
     while True:
         s = rng.randrange(len(slots))
         t = rng.randrange(len(slots) - 1)
         t += t >= s
         h = slots[t] if rng.random() < 0.5 else _invert(slots[t])
-        slots[s] = _compose(slots[s], h) if rng.random() < 0.5 else _compose(h, slots[s])
-        accumulator = _compose(accumulator, slots[s])
+        p, q = (slots[s], h) if rng.random() < 0.5 else (h, slots[s])
+        slots[s] = operator.itemgetter(*p)(q)
+        accumulator = operator.itemgetter(*accumulator)(slots[s])
         yield accumulator
 
 
@@ -508,7 +555,7 @@ class StabilizerChain:
         self._identity = identity
         self._start(raws)
         if raws:
-            bound = _SignGroup(raws)
+            bound = _SignGroup.of(raws)
             if not (self._random_fill(raws, bound.order) or self._pair_bound(raws, bound)):
                 self._start(raws)
                 i = len(self._levels) - 1

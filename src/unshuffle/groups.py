@@ -24,9 +24,9 @@ the kernel of the pair action off the same row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from typing import NamedTuple
 
 # compute_group looks StabilizerChain up in this module, where
 # perfbench/tracing.py rebinds it; bfs_enumerate is not called here,
@@ -192,8 +192,13 @@ def parity_row(n: int) -> tuple[int, int, int, int]:
 
 
 def computed_parity_row(deck_size: int) -> tuple[int, int, int, int]:
-    left, right = (_signs(g.image) for g in family_generators("unshuffle", deck_size))
-    return left[0], right[0], left[1], right[1]
+    return _row([_signs(g.image, True) for g in family_generators("unshuffle", deck_size)])
+
+
+def _row(signs: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    # L's and R's (sign, pair sign) as the sign row (L, R, pair L, pair R)
+    (sign_l, pair_l), (sign_r, pair_r) = signs
+    return sign_l, sign_r, pair_l, pair_r
 
 
 def pair_kernel_order(generators, group=None) -> int:
@@ -260,9 +265,9 @@ def diaconis_words(deck_size: int) -> dict[str, Word]:
     return out
 
 
-class SubstitutionResult(NamedTuple):
-    word: Word
-    leading_reversal: bool
+# a namedtuple, not a typing.NamedTuple: importing typing would cost every
+# fresh process several milliseconds
+SubstitutionResult = namedtuple("SubstitutionResult", ["word", "leading_reversal"])
 
 
 _UNSHUFFLE_FORMS = {
@@ -409,9 +414,9 @@ def _digits(computed: int, predicted: int) -> tuple[str, str]:
 # kept for the last deck size, so both families' records there share one
 # proof and one sign row, and nothing carries over to the next size
 @lru_cache(maxsize=1)
-def _deck_groups(deck_size: int) -> tuple[dict[str, tuple], tuple[int, int, int, int]]:
-    """Each family's generators, engine and group at one deck size, and
-    :func:`computed_parity_row`, as :func:`verify_deck_size` reports them.
+def _deck_groups(deck_size: int) -> tuple[dict[str, tuple], tuple[int, int, int, int], tuple]:
+    """Each family's engine and group at one deck size, the sign row and
+    the unshuffles L and R, as :func:`verify_deck_size` reports them.
 
     <L, R> is :func:`compute_group`'s.  <I, O> comes from the first of
     three rules that applies, each a proof of the group it gives:
@@ -433,9 +438,18 @@ def _deck_groups(deck_size: int) -> tuple[dict[str, tuple], tuple[int, int, int,
        <I, O> is its own :class:`unshuffle.bsgs._SignGroup` by the lemma
        below, and its record names the certificate.  The certificate
        answers only on m >= 8 pairs, so n >= 5, and only with the bound,
-       so <L, R> is its bound.
+       so <L, R> is its bound.  That bound's characters come from the
+       signs the certificate walked, without building I or O: sign and
+       pair sign are homomorphisms on B_n, and V is the n transpositions
+       (i 2n-1-i), each of which fixes its pair.  So I = V L^-1 has
+       sign (-1)^n sign(L) and the pair sign of L, and O = V R^-1 likewise
+       from R.
     3. *Engine policy.*  Otherwise <I, O> is ``compute_group``'s: at
-       2n = 6 and 14.
+       2n = 6 and 14, the only rule that builds I and O.
+
+    The sign row is :func:`computed_parity_row`'s, read off the signs
+    that the certificate's bound walked where it answered, so there L and
+    R are walked once, and I and O not at all.
 
     *Lemma.*  Let B_n be the centrally symmetric permutations and
     B_n' = [B_n, B_n] = E : A_n, with E the even flip vectors.  B_n / B_n'
@@ -459,16 +473,16 @@ def _deck_groups(deck_size: int) -> tuple[dict[str, tuple], tuple[int, int, int,
     """
     unshuffles = family_generators("unshuffle", deck_size)
     engine, group = compute_group(unshuffles)
-    perfect = family_generators("perfect", deck_size)
     r = shuffle_order("I", deck_size)
     if pow(2, r // 2, deck_size + 1) == deck_size and shuffle_permutation("V", deck_size) in group:
         derived = engine, group
     elif engine == "certificate":
-        derived = engine, _SignGroup([g.image for g in perfect])
+        v_sign = -1 if deck_size // 2 % 2 else 1
+        derived = engine, _SignGroup(deck_size, True, [(v_sign * s, p) for s, p in group.signs])
     else:
-        derived = compute_group(perfect)
-    families = {"unshuffle": (unshuffles, engine, group), "perfect": (perfect, *derived)}
-    return families, computed_parity_row(deck_size)
+        derived = compute_group(family_generators("perfect", deck_size))
+    signs = group.signs if engine == "certificate" else [_signs(g.image, True) for g in unshuffles]
+    return {"unshuffle": (engine, group), "perfect": derived}, _row(signs), unshuffles
 
 
 def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
@@ -485,11 +499,11 @@ def verify_deck_size(deck_size: int, family: str) -> VerificationRecord:
     that answered; the prediction only supplies the expected value.
     """
     prediction = predict_group(family, deck_size)
-    families, parities = _deck_groups(deck_size)
-    gens, engine_used, group = families[family]
+    families, parities, unshuffles = _deck_groups(deck_size)
+    engine_used, group = families[family]
 
     kernel_predicted = prediction.kernel_order if family == "unshuffle" else None
-    kernel_computed = None if kernel_predicted is None else pair_kernel_order(gens, group)
+    kernel_computed = None if kernel_predicted is None else pair_kernel_order(unshuffles, group)
 
     return VerificationRecord(
         two_n=deck_size,

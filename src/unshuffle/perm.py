@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 
 class _Value:
@@ -166,7 +166,7 @@ class Permutation(_Value):
         """The sign of :meth:`pair_permutation`."""
         if not self.is_centrally_symmetric():
             raise ValueError("pair action requires a centrally symmetric permutation")
-        return _signs(self.image)[1]
+        return _signs(self.image, True)[1]
 
     def arrangement(self) -> tuple[int, ...]:
         """Card labels top to bottom after applying this shuffle to a sorted
@@ -222,14 +222,30 @@ def _wrap(img: tuple[int, ...]) -> Permutation:
     return p
 
 
-def _cycle_type(image: tuple[int, ...]) -> list[tuple[int, bool]]:
-    # (length, mirrored) for every cycle of image, fixed points included,
-    # by first point x; mirrored when the cycle holds x's mirror d-1-x, that
-    # is, when the mirror is seen after the walk but not before it.  The
+def _cycle_type(image: tuple[int, ...], paired: bool = False) -> Iterator[tuple[int, bool]]:
+    # Lazily, so a caller can stop: (length, mirrored) for every cycle of
+    # image, fixed points included, by first point x; mirrored when the
+    # cycle holds x's mirror d-1-x, that is, when the mirror is seen after
+    # the walk but not before it.  paired walks a centrally symmetric image
+    # over its d/2 mirror pairs instead, marking each point's mirror as it
+    # goes, so a pair cycle of length l costs l steps and comes out as
+    # (l, flipped): flipped when it ends on x's mirror, as one point cycle
+    # of length 2l, and not when it is two mirror twins of length l.  The
     # one walk for order, sign, pair sign and the certificate.
     last = len(image) - 1
     seen = [False] * len(image)
-    out = []
+    if paired:
+        for start in range(len(image) // 2):
+            if seen[start]:
+                continue
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = seen[last - j] = True
+                j = image[j]
+                length += 1
+            yield length, j != start
+        return
     for start in range(len(image)):
         if seen[start]:
             continue
@@ -240,18 +256,20 @@ def _cycle_type(image: tuple[int, ...]) -> list[tuple[int, bool]]:
             seen[j] = True
             j = image[j]
             length += 1
-        out.append((length, not before and seen[last - start]))
-    return out
+        yield length, not before and seen[last - start]
 
 
-def _signs(image: tuple[int, ...]) -> tuple[int, int]:
-    # (sign, pair sign), each +1 or -1, from one walk.  With c cycles, f of
-    # them mirrored, the sign is (-1)^(d-c).  On a centrally symmetric image
-    # a pair cycle is one mirrored cycle or two mirror twins, so the d/2
-    # pairs make (c+f)/2 pair cycles and the pair sign is (-1)^((d-c-f)/2).
-    cycles = _cycle_type(image)
-    s = len(image) - len(cycles)
-    t = (s - sum(mirrored for _, mirrored in cycles)) // 2
+def _signs(image: tuple[int, ...], paired: bool = False) -> tuple[int, int]:
+    # (sign, pair sign), each +1 or -1, from one walk.  With c point
+    # cycles, f of them mirrored, the sign is (-1)^(d-c).  On a centrally
+    # symmetric image a pair cycle is one mirrored cycle or two mirror
+    # twins, so the d/2 pairs make (c+f)/2 pair cycles and the pair sign is
+    # (-1)^((d-c-f)/2).  The pair walk yields those pair cycles, f of them
+    # flipped, so there c is twice their number less f.
+    flags = [flag for _, flag in _cycle_type(image, paired)]
+    f = flags.count(True)
+    s = len(image) - (2 * len(flags) - f if paired else len(flags))
+    t = (s - f) // 2
     return -1 if s % 2 else 1, -1 if t % 2 else 1
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -30,7 +31,13 @@ from unshuffle.groups import (
     power_of_two_exponent,
     predict_group,
 )
-from unshuffle.perm import Permutation, random_centrally_symmetric
+from unshuffle.perm import (
+    Permutation,
+    _compose,
+    _cycle_type,
+    _invert,
+    random_centrally_symmetric,
+)
 from unshuffle.shuffles import shuffle_order, shuffle_permutation, word_permutation
 
 S3_GENS = [Permutation([1, 0, 2]), Permutation([0, 2, 1])]
@@ -49,7 +56,7 @@ def certified_order(gens):
 
 def sign_bound(gens):
     # _SignGroup takes the image tuples that _normalize produces
-    return _SignGroup([g.image for g in gens]).order
+    return _SignGroup.of([g.image for g in gens]).order
 
 
 def symmetric_gens(n):
@@ -440,7 +447,7 @@ class TestOrderBound:
                 for a, b in ((1, 0), (0, 1), (1, 1))
                 if all(g.parity() ** a * g.pair_parity() ** b == 1 for g in gens)
             }
-            bound = _SignGroup([g.image for g in gens])
+            bound = _SignGroup.of([g.image for g in gens])
             assert bound.paired and set(bound.characters) == expected
             seen.add(frozenset(expected))
         # none, each one alone, and all three
@@ -454,7 +461,7 @@ class TestOrderBound:
         for _ in range(100):
             n = rng.randint(2, 8)
             gens = [random_centrally_symmetric(rng, n) for _ in range(rng.randint(1, 3))]
-            bound = _SignGroup([g.image for g in gens])
+            bound = _SignGroup.of([g.image for g in gens])
             flips = itertools.chain.from_iterable(
                 itertools.combinations(range(n), r) for r in range(n + 1)
             )
@@ -471,7 +478,7 @@ class TestOrderBound:
             if all(g.is_centrally_symmetric() for g in gens):
                 continue
             even = all(g.parity() == 1 for g in gens)
-            bound = _SignGroup([g.image for g in gens])
+            bound = _SignGroup.of([g.image for g in gens])
             assert not bound.paired and bound.characters == (((1, 0),) if even else ())
             assert bound.kernel is None
             seen.add(even)
@@ -484,6 +491,62 @@ class TestOrderBound:
             images = [g.pair_permutation() for g in family_generators(family, size)]
             assert sign_bound(images) == bound
             assert StabilizerChain(images).order == bound
+
+
+def full_walk_certificate(gens):
+    """The certificate as it was before its walks stopped early, kept as
+    the reference: a stream composed through perm._compose, every sample
+    walked over all its points, its cycles remapped to pair cycles, and
+    every length tested by trial division.  Gives the bound's order or
+    None, and the number of samples drawn."""
+
+    def is_prime(k):
+        return k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1))
+
+    def stream(raws):
+        rng = random.Random(bsgs._RANDOM_SEED)
+        slots = [raws[i % len(raws)] for i in range(max(bsgs._PR_SLOTS, len(raws)))]
+        accumulator = tuple(range(len(raws[0])))
+        while True:
+            s = rng.randrange(len(slots))
+            t = rng.randrange(len(slots) - 1)
+            t += t >= s
+            h = slots[t] if rng.random() < 0.5 else _invert(slots[t])
+            slots[s] = _compose(slots[s], h) if rng.random() < 0.5 else _compose(h, slots[s])
+            accumulator = _compose(accumulator, slots[s])
+            yield accumulator
+
+    raws, degree, _ = bsgs._normalize(gens)
+    if not raws:
+        return None, 0
+    bound = _SignGroup.of(raws)
+    m = degree // 2 if bound.paired else degree
+    if m < 8:
+        return None, 0
+    orbit, frontier = {0}, [0]
+    for x in frontier:
+        for g in raws:
+            y = g[x] if g[x] < m else degree - 1 - g[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    if len(orbit) < m:
+        return None, 0
+    giant, kernel = False, not bound.paired
+    samples = itertools.islice(stream(raws), bsgs._CERTIFICATE_SAMPLES)
+    for drawn, g in enumerate(samples, 1):
+        cycles = list(_cycle_type(g))
+        if bound.paired:
+            cycles = [(length // 2, True) if flip else (length, False) for length, flip in cycles]
+        giant = giant or any(
+            m < 2 * length <= 2 * m - 6 and is_prime(length) for length, _ in cycles
+        )
+        if not kernel:
+            r = math.lcm(*(length for length, _ in cycles))
+            kernel = len({flip and r // length % 2 == 1 for length, flip in cycles}) == 2
+        if giant and kernel:
+            return bound.order, drawn
+    return None, bsgs._CERTIFICATE_SAMPLES
 
 
 class TestCertificate:
@@ -503,7 +566,53 @@ class TestCertificate:
         # m/2 < p <= m-3 exists exactly when m >= 8; Nagura's bound covers
         # m >= 50
         for m in range(10_001):
-            assert any(map(bsgs._is_prime, range(m // 2 + 1, m - 2))) == (m >= 8), m
+            assert any(bsgs._long_primes(m)) == (m >= 8), m
+
+    def test_long_primes_against_trial_division(self):
+        def is_prime(k):
+            return k > 1 and all(k % q for q in range(2, math.isqrt(k) + 1))
+
+        for m in range(8, 1001):
+            flags = bsgs._long_primes(m)
+            assert len(flags) == m + 1, m
+            expected = [k for k in range(m // 2 + 1, m - 2) if is_prime(k)]
+            assert [k for k in range(m + 1) if flags[k]] == expected, m
+
+    def test_early_stops_keep_the_answer_and_the_witness(self, monkeypatch):
+        # the pair walks and the walks cut short after the flip witness give
+        # the same answer from the same sample as full_walk_certificate:
+        # both families at every even 2n in [4, 400], then 300 seeded sets
+        # of centrally symmetric generators and 300 of arbitrary ones
+        drawn = []
+        true_stream = bsgs._product_replacement
+
+        def stream(raws):
+            for g in true_stream(raws):
+                drawn.append(g)
+                yield g
+
+        monkeypatch.setattr(bsgs, "_product_replacement", stream)
+        cases = [family_generators(f, size) for size in range(4, 401, 2) for f in FAMILIES]
+        rng = random.Random(20230207)
+        for _ in range(300):
+            n = rng.randint(5, 40)
+            cases.append([random_centrally_symmetric(rng, n) for _ in range(rng.randint(1, 3))])
+        while len(cases) < 998:
+            d = rng.randint(6, 60)
+            gens = [Permutation(rng.sample(range(d), d)) for _ in range(rng.randint(1, 3))]
+            if not all(g.is_centrally_symmetric() for g in gens):
+                cases.append(gens)
+        outcomes = collections.Counter()
+        for gens in cases:
+            drawn.clear()
+            group = _certified_group(gens)
+            found = None if group is None else group.order, len(drawn)
+            assert found == full_walk_certificate(gens), gens
+            outcomes["witness" if group is not None else len(drawn)] += 1
+        # a witness, no sample drawn (m < 8 or intransitive), and every
+        # sample drawn in vain
+        assert outcomes.keys() == {"witness", 0, bsgs._CERTIFICATE_SAMPLES}
+        assert outcomes["witness"] > 600
 
     @given(certifiable_sets())
     @settings(max_examples=60, deadline=None)
@@ -764,7 +873,7 @@ class TestFallback:
         raws = [g.image for g in family_generators("unshuffle", 24)]
         chain = StabilizerChain(raws)
         chain._start(raws)
-        assert not chain._random_fill(raws, _SignGroup(raws).order)
+        assert not chain._random_fill(raws, _SignGroup.of(raws).order)
 
     @pytest.mark.parametrize("family", ["unshuffle", "perfect"])
     def test_random_phase_alone_off_special_sizes(self, monkeypatch, family):
@@ -875,7 +984,7 @@ class TestPairBound:
         chain = StabilizerChain(family_generators("unshuffle", 12))
         lifts = (([1, 0, 2, 3, 4, 5], ()), ([1, 2, 3, 4, 5, 0], ()), (range(6), {0}))
         hyperoctahedral = [symmetric_lift(image, flips, 6).image for image, flips in lifts]
-        assert not chain._pair_bound(hyperoctahedral, _SignGroup(hyperoctahedral))
+        assert not chain._pair_bound(hyperoctahedral, _SignGroup.of(hyperoctahedral))
 
     def test_small_kernel_builds_no_pair_chain(self, monkeypatch):
         # <I> has far fewer elements than 2^500, so the divisibility test

@@ -631,3 +631,9 @@ class TestUsage:
             capture_output=True, text=True, env=child_env(), timeout=60, check=True,
         )
         assert result.stdout == "[]\n"
+        # nor typing, under -S: without site, whose .pth files may load it
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code.replace("'tokenize'", "'tokenize', 'typing'")],
+            capture_output=True, text=True, env=child_env(), timeout=60, check=True,
+        )
+        assert result.stdout == "[]\n"

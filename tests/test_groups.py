@@ -182,22 +182,42 @@ class TestParities:
     def test_computed_row_walks_each_generator_once(self, monkeypatch):
         # one cycle walk of L and one of R give both signs of each
         walked = []
-        walk = perm._cycle_type
-        monkeypatch.setattr(perm, "_cycle_type", lambda image: walked.append(image) or walk(image))
+        monkeypatch.setattr(perm, "_cycle_type", recording(walked, perm._cycle_type))
         assert computed_parity_row(58) == parity_row(29)
         left, right = family_generators("unshuffle", 58)
         assert walked == [left.image, right.image]
 
     def test_computed_once_per_size_in_a_sweep(self, monkeypatch):
-        # both families' records at one size share the computed row, which
-        # is kept in the one per-size record
-        calls = []
-        monkeypatch.setattr(
-            groups, "computed_parity_row", lambda d: calls.append(d) or computed_parity_row(d)
-        )
+        # both families' records at one size share one sign row, kept in the
+        # one per-size record and read off the certificate's own walks of L
+        # and R: two sign walks per certified size.  At 18, where V is a
+        # power of I, rule 1 of _deck_groups also tests V in <L, R>
+        walked = []
+        monkeypatch.setattr(perm, "_cycle_type", recording(walked, perm._cycle_type))
         groups._deck_groups.cache_clear()
-        verify_deck_sizes([18, 20, 22])
-        assert calls == [18, 20, 22]
+        records = verify_deck_sizes([18, 20, 22])
+        expected = []
+        for size in (18, 20, 22):
+            expected += [g.image for g in family_generators("unshuffle", size)]
+        expected.insert(2, shuffle_permutation("V", 18).image)
+        assert walked == expected
+        assert [r.engine_used for r in records] == ["certificate"] * 6
+        assert all(p.parities is u.parities for p, u in zip(records[::2], records[1::2]))
+
+    def test_perfect_signs_follow_the_unshuffles(self):
+        # the proof behind rule 2 of _deck_groups: I = V L^-1 and
+        # O = V R^-1, with V n transpositions that fix every pair
+        for size in [*range(2, 401, 2), 10002]:
+            n = size // 2
+            (left, right), (i, o) = (family_generators(f, size) for f in ("unshuffle", "perfect"))
+            for p, q in ((i, left), (o, right)):
+                assert p.parity() == (-1) ** n * q.parity(), size
+                assert p.pair_parity() == q.pair_parity(), size
+
+
+def recording(walked, walk):
+    """walk, recording the image of each call in walked."""
+    return lambda image, paired=False: walked.append(image) or walk(image, paired)
 
 
 def kernel_order(n: int, family: str = "unshuffle") -> int | None:
@@ -302,8 +322,7 @@ class TestKernel:
 
 def deck_group(size, family="perfect"):
     """One family's group as verify_deck_size reads it: (engine, group)."""
-    _, engine, group = groups._deck_groups(size)[0][family]
-    return engine, group
+    return groups._deck_groups(size)[0][family]
 
 
 def reversal_power(size):
@@ -434,6 +453,22 @@ class TestOneProofPerDeckSize:
         assert built("unshuffle") == [6, 10, 12, 14, 24]
         assert sorted(len(gens[0]) for gens in chains) == [3, 5, 6, 6, 7, 10, 12, 14, 14, 24]
 
+    def test_perfect_generators_only_for_the_engine_policy(self, monkeypatch):
+        # rules 1 and 2 never read I and O, so they are built only where
+        # rule 3 answers, at 6 and 14 in [2, 52]
+        built = []
+        true_generators = groups.family_generators
+
+        def generators(family, size):
+            built.append((family, size))
+            return true_generators(family, size)
+
+        monkeypatch.setattr(groups, "family_generators", generators)
+        groups._deck_groups.cache_clear()
+        assert all(r.match for r in verify_deck_sizes(range(2, 53, 2)))
+        assert [size for family, size in built if family == "perfect"] == [6, 14]
+        assert [size for family, size in built if family == "unshuffle"] == list(range(2, 53, 2))
+
     def test_one_factorial_per_deck_size(self, monkeypatch):
         # both sign bounds and both predictions share one n!
         calls = []
@@ -525,6 +560,17 @@ class TestSubstitution:
         got = substitute_unshuffles("VV")
         assert got.word == ()
         assert got.leading_reversal is False
+
+    def test_result_is_a_named_pair(self):
+        got = substitute_unshuffles("I")
+        assert got == (got.word, True) and len(got) == 2
+        word, reversal = got
+        assert (word, reversal) == (got[0], got[1]) == (got.word, got.leading_reversal)
+        assert type(got)._fields == ("word", "leading_reversal")
+        assert repr(got) == (
+            "SubstitutionResult(word=(Step(letter='V', inverted=False), "
+            "Step(letter='L', inverted=True)), leading_reversal=True)"
+        )
 
     def test_unshuffle_letters_pass_through(self):
         got = substitute_unshuffles("LR'")

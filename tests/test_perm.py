@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unshuffle.perm import Permutation, _cycle_type, random_centrally_symmetric
+from unshuffle.perm import Permutation, _cycle_type, _signs, random_centrally_symmetric
 
 
 def perms(max_degree=30):
@@ -165,32 +165,86 @@ def brute_cycle_type(image):
     return [(len(c), d - 1 - first in c) for first, c in sorted(cycles.items())]
 
 
+def brute_pair_cycle_type(p):
+    # every cycle of the pair permutation as a set, by smallest pair x, with
+    # whether p to the cycle's length sends x to its mirror, not to itself
+    pairs = p.pair_permutation().image
+    out, seen = [], set()
+    for x in range(len(pairs)):
+        if x in seen:
+            continue
+        cycle, y = {x}, pairs[x]
+        while y != x:
+            cycle.add(y)
+            y = pairs[y]
+        seen |= cycle
+        out.append((len(cycle), (p ** len(cycle))(x) != x))
+    return out
+
+
+class CountedImage(tuple):
+    """An image tuple that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+
 class TestCycleType:
     def test_two_points(self):
-        assert _cycle_type((0, 1)) == [(1, False), (1, False)]
-        assert _cycle_type((1, 0)) == [(2, True)]
+        assert list(_cycle_type((0, 1))) == [(1, False), (1, False)]
+        assert list(_cycle_type((1, 0))) == [(2, True)]
 
     def test_middle_point_is_its_own_mirror(self):
-        assert _cycle_type((0,)) == [(1, True)]
-        assert _cycle_type((2, 1, 0)) == [(2, True), (1, True)]
+        assert list(_cycle_type((0,))) == [(1, True)]
+        assert list(_cycle_type((2, 1, 0))) == [(2, True), (1, True)]
 
     def test_mostly_fixed_points(self):
         image = list(range(50))
         image[3], image[46] = 46, 3  # a mirrored 2-cycle
         image[5], image[7], image[9] = 7, 9, 5  # an unmirrored 3-cycle
         expected = brute_cycle_type(image)
-        assert _cycle_type(tuple(image)) == expected
+        assert list(_cycle_type(tuple(image))) == expected
         assert len(expected) == 50 - 1 - 2
         assert sorted(expected, reverse=True)[:2] == [(3, False), (2, True)]
 
     @given(perms(max_degree=60))
     def test_matches_brute_force(self, p):
-        assert _cycle_type(p.image) == brute_cycle_type(p.image)
+        assert list(_cycle_type(p.image)) == brute_cycle_type(p.image)
 
     @given(symmetric_pairs(max_n=30))
     def test_matches_brute_force_on_symmetric(self, pq):
         for p in pq:
-            assert _cycle_type(p.image) == brute_cycle_type(p.image)
+            assert list(_cycle_type(p.image)) == brute_cycle_type(p.image)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 13, 100])
+    def test_pair_walk_matches_brute_force(self, n):
+        # (pair length, flipped) per pair cycle, against the pair
+        # permutation's cycles and a power of p, with the identity and V
+        rng = random.Random(n)
+        identity, reversal = Permutation.identity(2 * n), Permutation(range(2 * n - 1, -1, -1))
+        assert list(_cycle_type(identity.image, True)) == [(1, False)] * n
+        assert list(_cycle_type(reversal.image, True)) == [(1, True)] * n
+        images = [identity, reversal] + [random_centrally_symmetric(rng, n) for _ in range(40)]
+        flips = set()
+        for p in images:
+            pair_cycles = list(_cycle_type(p.image, True))
+            assert pair_cycles == brute_pair_cycle_type(p)
+            # one step per pair, and the sign and pair sign of the point walk
+            assert sum(length for length, _ in pair_cycles) == n
+            assert _signs(p.image, True) == _signs(p.image) == (p.parity(), p.pair_parity())
+            flips.update(flip for _, flip in pair_cycles)
+        assert flips == {False, True}
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_lazy(self, paired):
+        # the first cycle, a fixed point, comes out after one read
+        CountedImage.reads = 0
+        walk = _cycle_type(CountedImage(range(1000)), paired)
+        assert next(walk) == (1, False) and CountedImage.reads == 1
+        assert len(list(walk)) == (499 if paired else 999)
 
 
 class TestParity:
